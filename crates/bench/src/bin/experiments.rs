@@ -31,34 +31,19 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                let v = it.next().expect("--scale needs a value");
-                opts.scale = v.parse().expect("--scale must be a float");
+                opts.scale = flag_value(&mut it, "--scale", "a finite number > 0", |v| {
+                    v.parse::<f64>().ok().filter(|s| s.is_finite() && *s > 0.0)
+                });
             }
             "--seed" => {
-                let v = it.next().expect("--seed needs a value");
-                opts.seed = v.parse().expect("--seed must be an integer");
+                opts.seed =
+                    flag_value(&mut it, "--seed", "an unsigned integer", |v| v.parse().ok());
             }
             "--quick" => opts.quick = true,
             "--paper-eps" => opts.paper_eps = true,
             "--paper-scale" => opts.scale = 1.0,
-            "--selection-threads" => {
-                let v = it.next().expect("--selection-threads needs a value");
-                opts.selection_threads = v
-                    .parse()
-                    .expect("--selection-threads must be an integer (0 = hardware)");
-                if opts.selection_threads == 0 {
-                    opts.selection_threads = usize::MAX;
-                }
-            }
-            "--sampler-threads" => {
-                let v = it.next().expect("--sampler-threads needs a value");
-                opts.sampler_threads = v
-                    .parse()
-                    .expect("--sampler-threads must be an integer (0 = hardware)");
-                if opts.sampler_threads == 0 {
-                    opts.sampler_threads = usize::MAX;
-                }
-            }
+            "--selection-threads" => opts.selection_threads = thread_flag(&mut it, &a),
+            "--sampler-threads" => opts.sampler_threads = thread_flag(&mut it, &a),
             "--help" | "-h" => {
                 usage();
                 return;
@@ -142,6 +127,37 @@ fn run(id: &str, opts: Opts) {
         }
     }
     println!("[{id}] finished in {:.1}s", t0.elapsed().as_secs_f64());
+}
+
+/// Parses the value following `flag` with `parse`; a missing or malformed
+/// value is a usage error (exit 2 with the usage text), never a panic.
+fn flag_value<T>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    want: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    let Some(raw) = it.next() else {
+        eprintln!("{flag} needs a value ({want})");
+        usage();
+        std::process::exit(2);
+    };
+    parse(&raw).unwrap_or_else(|| {
+        eprintln!("{flag} must be {want}, got {raw:?}");
+        usage();
+        std::process::exit(2);
+    })
+}
+
+/// A worker-count flag: a non-negative integer, 0 meaning "all hardware
+/// threads" (`usize::MAX`).
+fn thread_flag(it: &mut impl Iterator<Item = String>, flag: &str) -> usize {
+    match flag_value(it, flag, "an integer (0 = hardware)", |v| {
+        v.parse::<usize>().ok()
+    }) {
+        0 => usize::MAX,
+        t => t,
+    }
 }
 
 fn usage() {

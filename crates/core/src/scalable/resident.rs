@@ -15,8 +15,8 @@
 //! * **Per-set RNG streams keyed by global set index.** Sampler seeds
 //!   depend only on `(stream seed, set index)`, never on batch boundaries,
 //!   so a graph delta can resample exactly the invalidated sets in place
-//!   ([`rm_rrsets::RrArena::replace_sets`]) and every surviving set keeps
-//!   the stream that produced it.
+//!   ([`rm_rrsets::PreparedSampler::resample_touched`]) and every surviving
+//!   set keeps the stream that produced it.
 //! * **Target-only invalidation.** A reverse RR walk examines the in-edges
 //!   of exactly the nodes it visits, so a set's trace can touch a changed
 //!   edge `(u, v)` only if the set contains the *target* `v`. Sets free of
@@ -34,8 +34,8 @@
 
 use std::sync::Arc;
 
-use rm_graph::{CsrGraph, NodeId};
-use rm_rrsets::{LazyGreedyHeap, PreparedSampler, RrArena, RrCoverage, SharedRrPool, TenantMode};
+use rm_graph::NodeId;
+use rm_rrsets::{LazyGreedyHeap, PreparedSampler, RrCoverage, SharedRrPool, TenantMode};
 
 use crate::allocation::SeedAllocation;
 use crate::instance::RmInstance;
@@ -390,13 +390,9 @@ impl<'a> ResidentEngine<'a> {
                 // then rebuild the index from the repaired arena. Ingesting
                 // with the seed mask reproduces the incremental state: a
                 // set is covered iff it contains one of the ad's seeds.
-                invalidated += resample_invalidated(
-                    &mut st.sel_sets,
-                    &st.sampler,
-                    g,
-                    st.sample_seed,
-                    &changed,
-                );
+                invalidated +=
+                    st.sampler
+                        .resample_touched(g, st.sample_seed, &mut st.sel_sets, &changed);
                 let mut cov = RrCoverage::new(n);
                 cov.add_batch(&st.sel_sets, &st.is_seed);
                 st.cov = cov;
@@ -415,7 +411,8 @@ impl<'a> ResidentEngine<'a> {
             // The validation stream (OnlineBounds) is always private.
             if let Some(op) = st.opim.as_mut() {
                 invalidated +=
-                    resample_invalidated(&mut st.val_sets, &st.sampler, g, op.val_seed, &changed);
+                    st.sampler
+                        .resample_touched(g, op.val_seed, &mut st.val_sets, &changed);
                 let mut val_cov = RrCoverage::new(n);
                 val_cov.add_batch(&st.val_sets, &st.is_seed);
                 op.val_cov = val_cov;
@@ -643,31 +640,4 @@ impl<'a> ResidentEngine<'a> {
         }
         (alloc, stats)
     }
-}
-
-/// Resamples — in place, under the unchanged per-set stream seeds — the
-/// sets of `arena` containing a changed-edge target, on the new graph.
-/// Returns the number of sets replaced.
-fn resample_invalidated(
-    arena: &mut RrArena,
-    sampler: &PreparedSampler,
-    g: &CsrGraph,
-    seed: u64,
-    changed: &[bool],
-) -> u64 {
-    let ids: Vec<usize> = (0..arena.len())
-        .filter(|&i| arena.get(i).iter().any(|&u| changed[u as usize]))
-        .collect();
-    if ids.is_empty() {
-        return 0;
-    }
-    let mut repl = RrArena::new();
-    for &id in &ids {
-        // Per-set seeds depend only on the global set index, so a one-set
-        // batch at `first_index = id` replays exactly set `id`'s stream.
-        let (one, _) = sampler.sample_batch(g, 1, seed, id as u64);
-        repl.append(&one);
-    }
-    arena.replace_sets(&ids, &repl);
-    ids.len() as u64
 }

@@ -1126,6 +1126,8 @@ fn resident_graph_delta_replay_is_deterministic() {
     // Delta repair replays per-set RNG streams, so the whole script —
     // admission, delta, convergence — must reproduce bit-identically, and
     // under OnlineBounds the private validation stream must be repaired too.
+    // The batched repair resamples on up to `sampler_threads` workers, so
+    // the sequential and work-stealing paths must agree as well.
     let n = 300;
     let edges = ba_edges(n, 9);
     let &(u, v) = edges.last().unwrap();
@@ -1136,9 +1138,12 @@ fn resident_graph_delta_replay_is_deterministic() {
     };
     let inst = Arc::new(wc_edges_instance(n, &edges, 2, 40.0, 0.2, 9));
     let new_inst = Arc::new(wc_edges_instance(n, &new_edges, 2, 40.0, 0.2, 9));
-    let run = || {
-        let mut eng =
-            ResidentEngine::new(Arc::clone(&inst), AlgorithmKind::TiCsrm, online_cfg(5)).unwrap();
+    let run = |sampler_threads: usize| {
+        let cfg = ScalableConfig {
+            sampler_threads,
+            ..online_cfg(5)
+        };
+        let mut eng = ResidentEngine::new(Arc::clone(&inst), AlgorithmKind::TiCsrm, cfg).unwrap();
         eng.add_advertisers(&[0, 1]).unwrap();
         eng.apply_graph_delta(Arc::clone(&new_inst), &delta)
             .unwrap();
@@ -1146,11 +1151,18 @@ fn resident_graph_delta_replay_is_deterministic() {
         let (alloc, stats) = eng.finish();
         (events, alloc, stats)
     };
-    let (ev1, al1, st1) = run();
-    let (ev2, al2, st2) = run();
+    let (ev1, al1, st1) = run(1);
+    let (ev2, al2, st2) = run(1);
     assert_eq!(ev1, ev2, "delta replay event logs differ across runs");
     assert_eq!(al1, al2);
     assert_eq!(deterministic_stats(&st1), deterministic_stats(&st2));
+    let (ev8, al8, st8) = run(8);
+    assert_eq!(
+        ev1, ev8,
+        "delta replay event logs differ across sampler threads"
+    );
+    assert_eq!(al1, al8);
+    assert_eq!(deterministic_stats(&st1), deterministic_stats(&st8));
     assert!(st1.delta_invalidated_sets > 0);
     assert!(st1.bound_checks > 0, "OnlineBounds path not exercised");
 }

@@ -109,6 +109,17 @@ impl RrArena {
             .extend(other.offsets[1..].iter().map(|&o| base + o));
     }
 
+    /// Ids (ascending) of the sets holding at least one node flagged in
+    /// `flagged` — a graph delta's invalidation scan, with `flagged` the
+    /// changed-edge targets. `flagged` must cover every stored node id.
+    pub fn sets_touching(&self, flagged: &[bool]) -> Vec<usize> {
+        self.iter()
+            .enumerate()
+            .filter(|(_, set)| set.iter().any(|&u| flagged[u as usize]))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
     /// Replaces the sets at `ids` (strictly ascending) with the sets of
     /// `repl` (one per id, in order), rebuilding the flat storage in one
     /// pass. This is the graph-delta repair primitive: invalidated sets are
@@ -213,6 +224,10 @@ mod tests {
             .into_iter()
             .collect();
         let repl: RrArena = [&[9u32][..], &[8, 8][..]].into_iter().collect();
+        let mut flagged = [false; 10];
+        flagged[3] = true;
+        flagged[7] = true;
+        assert_eq!(a.sets_touching(&flagged), vec![1, 3]);
         a.replace_sets(&[1, 3], &repl);
         let expect: RrArena = [&[1u32, 2][..], &[9], &[4, 5, 6], &[8, 8]]
             .into_iter()

@@ -67,7 +67,7 @@
 //! multi-threaded [`PreparedSampler::sample_batch`] (itself thread-count
 //! invariant); groups with reweighted tenants grow via the traced
 //! single-threaded sampler, which is draw-for-draw identical (see
-//! `sampler::sample_tic_rr_range_traced`), so joining a reweighted tenant
+//! `sampler::sample_tic_rr_traced`), so joining a reweighted tenant
 //! never changes the sets the other tenants read.
 
 use std::cell::RefCell;
@@ -78,8 +78,7 @@ use rm_graph::CsrGraph;
 
 use crate::arena::RrArena;
 use crate::sampler::{
-    gather_tic_skip_ln, sample_tic_rr_range_traced, stream_seed, threshold, PreparedSampler,
-    COIN_FULL,
+    gather_tic_skip_ln, sample_tic_rr_traced, stream_seed, threshold, PreparedSampler, COIN_FULL,
 };
 use crate::tim::{KptEstimator, TimConfig};
 
@@ -513,73 +512,27 @@ impl SharedRrPool {
             // panicked mid-growth; propagating is the only sound response.
             let st = state.get_mut().expect("pool group lock poisoned");
             st.kpt.clear();
-            let invalid: Vec<usize> = (0..st.arena.len())
-                .filter(|&i| st.arena.get(i).iter().any(|&u| changed[u as usize]))
-                .collect();
-            if invalid.is_empty() {
-                continue;
-            }
-            let mut repl = RrArena::new();
-            match reweight {
-                None => {
-                    // Per-set seeds depend only on the global set index
-                    // (`first_index + i`), so a one-set batch at
-                    // `first_index = id` replays exactly set `id`'s stream.
-                    for &id in &invalid {
-                        let (one, _) = sampler.sample_batch(g, 1, *sample_seed, id as u64);
-                        repl.append(&one);
-                    }
-                }
+            resampled += match reweight {
+                None => sampler.resample_touched(g, *sample_seed, &mut st.arena, changed),
                 Some(rw) => {
-                    let rw_tenants: Vec<(usize, &[f32])> = specs
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(pos, t)| t.gamma.as_deref().map(|gm| (pos, gm)))
-                        .collect();
-                    for &id in &invalid {
-                        let ln_acc = RefCell::new(vec![0.0f64; rw_tenants.len()]);
-                        let new_w = RefCell::new(Vec::with_capacity(rw_tenants.len()));
-                        sample_tic_rr_range_traced(
-                            g,
-                            &rw.shared,
-                            &rw.gamma_ref,
-                            &rw.skip_ln,
-                            *sample_seed,
-                            0,
-                            id,
-                            id + 1,
-                            &mut repl,
-                            |slot, accepted| {
-                                let q = threshold(rw.shared.mixed_prob(slot, &rw.gamma_ref));
-                                let mut acc = ln_acc.borrow_mut();
-                                for (a, &(_, gamma)) in acc.iter_mut().zip(&rw_tenants) {
-                                    let t = threshold(rw.shared.mixed_prob(slot, gamma));
-                                    if t == q {
-                                        continue;
-                                    }
-                                    *a += if accepted {
-                                        (f64::from(t) / f64::from(q)).ln()
-                                    } else {
-                                        (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln()
-                                    };
-                                }
-                            },
-                            |_width| {
-                                let acc = ln_acc.borrow();
-                                let mut out = new_w.borrow_mut();
-                                for (a, &(pos, _)) in acc.iter().zip(&rw_tenants) {
-                                    out.push((pos, a.exp() as f32));
-                                }
-                            },
-                        );
-                        for (pos, w) in new_w.into_inner() {
-                            st.weights[pos][id] = w;
-                        }
-                    }
+                    // Traced repair over one workspace: the resampled sets
+                    // plus the reweighted tenants' recomputed weights.
+                    let invalid = st.arena.sets_touching(changed);
+                    let mut repl = RrArena::with_capacity(invalid.len(), 0);
+                    let weights = &mut st.weights;
+                    sample_weighted(
+                        g,
+                        rw,
+                        specs,
+                        *sample_seed,
+                        invalid.iter().copied(),
+                        &mut repl,
+                        |pos, id, w| weights[pos][id] = w,
+                    );
+                    st.arena.replace_sets(&invalid, &repl);
+                    invalid.len() as u64
                 }
-            }
-            st.arena.replace_sets(&invalid, &repl);
-            resampled += invalid.len() as u64;
+            };
         }
         resampled
     }
@@ -608,59 +561,80 @@ fn grow(g: &CsrGraph, group: &PoolGroup, st: &mut GroupState, hi: usize) {
         }
         Some(rw) => {
             // Traced single-threaded growth: bit-identical sets, plus one
-            // likelihood-ratio accumulator per reweighted tenant. Both
-            // trace callbacks need the accumulators, hence the `RefCell`
-            // (the callbacks never run reentrantly).
+            // weight per reweighted tenant and set.
             let GroupState { arena, weights, .. } = st;
-            let rw_tenants: Vec<(usize, &[f32])> = group
-                .specs
-                .iter()
-                .enumerate()
-                .filter_map(|(pos, t)| t.gamma.as_deref().map(|gm| (pos, gm)))
-                .collect();
-            let ln_acc = RefCell::new(vec![0.0f64; rw_tenants.len()]);
-            sample_tic_rr_range_traced(
+            sample_weighted(
                 g,
-                &rw.shared,
-                &rw.gamma_ref,
-                &rw.skip_ln,
+                rw,
+                &group.specs,
                 group.sample_seed,
-                0,
-                have,
-                hi,
+                have..hi,
                 arena,
-                |slot, accepted| {
-                    let q = threshold(rw.shared.mixed_prob(slot, &rw.gamma_ref));
-                    let mut acc = ln_acc.borrow_mut();
-                    for (a, &(_, gamma)) in acc.iter_mut().zip(&rw_tenants) {
-                        let t = threshold(rw.shared.mixed_prob(slot, gamma));
-                        if t == q {
-                            // Equal thresholds contribute factor 1 exactly;
-                            // skipping keeps identical-slot tenants at the
-                            // f64 constant 1.0 with zero rounding.
-                            continue;
-                        }
-                        // `accepted` implies `q > 0` (zero thresholds never
-                        // consume a draw); `!accepted` implies `q < 2²⁴`.
-                        // `t == 0` on an accepted slot gives ln 0 = −∞ and
-                        // a clean weight of 0 for this set.
-                        *a += if accepted {
-                            (f64::from(t) / f64::from(q)).ln()
-                        } else {
-                            (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln()
-                        };
-                    }
-                },
-                |_width| {
-                    let mut acc = ln_acc.borrow_mut();
-                    for (a, &(pos, _)) in acc.iter_mut().zip(&rw_tenants) {
-                        weights[pos].push(a.exp() as f32);
-                        *a = 0.0;
-                    }
-                },
+                |pos, _id, w| weights[pos].push(w),
             );
         }
     }
+}
+
+/// Samples the group's sets `ids` (in order) onto `arena` through the
+/// traced reference sampler and hands each reweighted tenant's importance
+/// weight for each set to `store(tenant position, set id, weight)` — in set
+/// order, tenants in position order. One likelihood-ratio accumulator per
+/// reweighted tenant; both trace callbacks need the accumulators, hence the
+/// `RefCell` (the callbacks never run reentrantly).
+fn sample_weighted(
+    g: &CsrGraph,
+    rw: &ReweightTables,
+    specs: &[TenantSpec],
+    seed: u64,
+    ids: impl IntoIterator<Item = usize>,
+    arena: &mut RrArena,
+    mut store: impl FnMut(usize, usize, f32),
+) {
+    let rw_tenants: Vec<(usize, &[f32])> = specs
+        .iter()
+        .enumerate()
+        .filter_map(|(pos, t)| t.gamma.as_deref().map(|gm| (pos, gm)))
+        .collect();
+    let ln_acc = RefCell::new(vec![0.0f64; rw_tenants.len()]);
+    sample_tic_rr_traced(
+        g,
+        &rw.shared,
+        &rw.gamma_ref,
+        &rw.skip_ln,
+        seed,
+        ids,
+        arena,
+        |slot, accepted| {
+            let q = threshold(rw.shared.mixed_prob(slot, &rw.gamma_ref));
+            let mut acc = ln_acc.borrow_mut();
+            for (a, &(_, gamma)) in acc.iter_mut().zip(&rw_tenants) {
+                let t = threshold(rw.shared.mixed_prob(slot, gamma));
+                if t == q {
+                    // Equal thresholds contribute factor 1 exactly;
+                    // skipping keeps identical-slot tenants at the f64
+                    // constant 1.0 with zero rounding.
+                    continue;
+                }
+                // `accepted` implies `q > 0` (zero thresholds never consume
+                // a draw); `!accepted` implies `q < 2²⁴`. `t == 0` on an
+                // accepted slot gives ln 0 = −∞ and a clean weight of 0 for
+                // this set.
+                *a += if accepted {
+                    (f64::from(t) / f64::from(q)).ln()
+                } else {
+                    (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln()
+                };
+            }
+        },
+        |id, _width| {
+            let mut acc = ln_acc.borrow_mut();
+            for (a, &(pos, _)) in acc.iter_mut().zip(&rw_tenants) {
+                store(pos, id, a.exp() as f32);
+                *a = 0.0;
+            }
+        },
+    );
 }
 
 #[cfg(test)]

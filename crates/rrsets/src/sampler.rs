@@ -472,31 +472,29 @@ fn sample_tic_rr_set_into_traced(
     width
 }
 
-/// Samples the set-index range `lo..hi` of the logical stream `(seed,
-/// first_index)` onto `arena`, tracing per-slot decisions. Per-set seeds are
-/// derived exactly like [`PreparedSampler::sample_batch`]'s
-/// (`mix64(mix64(seed) ^ (first_index + idx))`), so the appended sets are
-/// bit-identical to an untraced batch over the same range. `on_set_done`
-/// fires after each set with its width, delimiting the decision stream.
+/// Samples the global set indices `ids` of stream `seed`, in order, onto
+/// `arena`, tracing per-slot decisions — a contiguous range (pool growth)
+/// and a sparse repair list (graph deltas) alike, over one workspace. Per-set
+/// seeds are derived exactly like [`PreparedSampler::sample_batch`]'s
+/// (`mix64(mix64(seed) ^ idx)`), so the appended sets are bit-identical to
+/// untraced batches at the same indices. `on_set_done(idx, width)` fires
+/// after each set, delimiting the decision stream.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_tic_rr_range_traced(
+pub(crate) fn sample_tic_rr_traced(
     g: &CsrGraph,
     shared: &TicInSlots,
     gamma: &[f32],
     skip_ln: &[f64],
     seed: u64,
-    first_index: u64,
-    lo: usize,
-    hi: usize,
+    ids: impl IntoIterator<Item = usize>,
     arena: &mut RrArena,
     mut on_decide: impl FnMut(usize, bool),
-    mut on_set_done: impl FnMut(u64),
+    mut on_set_done: impl FnMut(usize, u64),
 ) {
-    debug_assert!(g.num_nodes() > 0, "cannot sample from an empty graph");
     let base = mix64(seed);
     let mut ws = RrWorkspace::new(g.num_nodes());
-    for idx in lo..hi {
-        let set_seed = mix64(base ^ (first_index + idx as u64));
+    for idx in ids {
+        let set_seed = mix64(base ^ idx as u64);
         let width = sample_tic_rr_set_into_traced(
             g,
             shared,
@@ -507,7 +505,7 @@ pub(crate) fn sample_tic_rr_range_traced(
             arena,
             &mut on_decide,
         );
-        on_set_done(width);
+        on_set_done(idx, width);
     }
 }
 
@@ -724,38 +722,86 @@ impl Tables {
     }
 }
 
-/// Samples the contiguous set-index range `lo..hi` into a fresh arena,
-/// reusing `ws` across calls — the visited array is O(n), so it must be
-/// per-worker state, not per-block (at n = 10⁷ a fresh workspace per block
-/// would zero 10 MB every thousand sets).
-fn sample_range(
+/// Samples the global set indices `ids` (stream base `base`), in order, into
+/// a fresh arena, reusing `ws` across calls — the visited array is O(n), so
+/// it must be per-worker state, not per-block (at n = 10⁷ a fresh workspace
+/// per block would zero 10 MB every thousand sets).
+fn sample_ids(
     g: &CsrGraph,
     tables: &Tables,
     base: u64,
-    first_index: u64,
-    lo: usize,
-    hi: usize,
+    ids: impl ExactSizeIterator<Item = u64>,
     ws: &mut RrWorkspace,
 ) -> (RrArena, Vec<u64>) {
-    let count = hi - lo;
+    let count = ids.len();
     let mut arena = RrArena::with_capacity(count, 2 * count);
     let mut widths = Vec::with_capacity(count);
     // Mean set size is unknown up front; after a pilot prefix, extrapolate
     // it so the node storage grows once instead of doubling repeatedly.
     let pilot = 512.min(count);
-    for idx in lo..lo + pilot {
-        let set_seed = mix64(base ^ (first_index + idx as u64));
-        widths.push(tables.sample_one(g, ws, set_seed, &mut arena));
-    }
-    if pilot < count {
-        let projected = arena.total_nodes() * count / pilot;
-        arena.reserve_nodes(projected + projected / 8);
-        for idx in lo + pilot..hi {
-            let set_seed = mix64(base ^ (first_index + idx as u64));
-            widths.push(tables.sample_one(g, ws, set_seed, &mut arena));
+    for (k, idx) in ids.enumerate() {
+        if k == pilot {
+            let projected = arena.total_nodes() * count / pilot;
+            arena.reserve_nodes(projected + projected / 8);
         }
+        widths.push(tables.sample_one(g, ws, mix64(base ^ idx), &mut arena));
     }
     (arena, widths)
+}
+
+/// Runs `sample(lo, hi, ws)` over the blocks of `0..count` on `threads`
+/// workers and returns the results in block order. Workers pull fixed-size
+/// blocks off a shared atomic cursor (work-stealing — a straggler core
+/// strands at most one block) and each owns one [`RrWorkspace`] for its
+/// whole share. One worker skips the spawn and takes `0..count` as a single
+/// block.
+fn steal_blocks<T: Send>(
+    n: usize,
+    count: usize,
+    threads: usize,
+    sample: impl Fn(usize, usize, &mut RrWorkspace) -> T + Sync,
+) -> Vec<T> {
+    if threads <= 1 {
+        return vec![sample(0, count, &mut RrWorkspace::new(n))];
+    }
+    let nblocks = count.div_ceil(STEAL_BLOCK);
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
+    let mut parts: Vec<(usize, T)> = Vec::with_capacity(nblocks);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (cursor, sample) = (&cursor, &sample);
+                scope.spawn(move || {
+                    let mut ws = RrWorkspace::new(n);
+                    let mut local: Vec<(usize, T)> = Vec::new();
+                    loop {
+                        let b = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if b >= nblocks {
+                            break;
+                        }
+                        let lo = b * STEAL_BLOCK;
+                        let hi = (lo + STEAL_BLOCK).min(count);
+                        local.push((b, sample(lo, hi, &mut ws)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        for handle in handles {
+            // INVARIANT: a sampler-worker panic leaves the batch
+            // incomplete; propagating is the only sound response.
+            parts.extend(handle.join().expect("sampler worker panicked"));
+        }
+    });
+    // Sort the blocks back into index order — this is the determinism
+    // argument: any partition of 0..count, sorted back by block id,
+    // concatenates to the same arena the sequential path produces.
+    parts.sort_unstable_by_key(|p| p.0);
+    debug_assert!(
+        parts.len() == nblocks && parts.iter().enumerate().all(|(i, p)| p.0 == i),
+        "steal cursor must hand out each block exactly once"
+    );
+    parts.into_iter().map(|p| p.1).collect()
 }
 
 // The canonical seed-derivation helpers (`mix64`, `stream_seed`) live in
@@ -908,65 +954,100 @@ impl PreparedSampler {
             return (arena, vec![0u64; count]);
         }
         let base = mix64(seed);
-        let nblocks = count.div_ceil(STEAL_BLOCK);
-        let threads = match self.thread_count {
-            Some(t) => t,
-            None => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(self.thread_cap),
-        }
-        .min(nblocks)
-        .min(32);
-        if threads == 1 {
-            let mut ws = RrWorkspace::new(g.num_nodes());
-            return sample_range(g, &self.tables, base, first_index, 0, count, &mut ws);
-        }
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let mut parts: Vec<(usize, RrArena, Vec<u64>)> = Vec::with_capacity(nblocks);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let (cursor, tables) = (&cursor, &self.tables);
-                    scope.spawn(move || {
-                        let mut ws = RrWorkspace::new(g.num_nodes());
-                        let mut local: Vec<(usize, RrArena, Vec<u64>)> = Vec::new();
-                        loop {
-                            let b = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if b >= nblocks {
-                                break;
-                            }
-                            let lo = b * STEAL_BLOCK;
-                            let hi = (lo + STEAL_BLOCK).min(count);
-                            let (arena, widths) =
-                                sample_range(g, tables, base, first_index, lo, hi, &mut ws);
-                            local.push((b, arena, widths));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // INVARIANT: a sampler-worker panic leaves the batch
-                // incomplete; propagating is the only sound response.
-                parts.extend(handle.join().expect("sampler worker panicked"));
-            }
-        });
-        // Splice the blocks in index order — this is the determinism
-        // argument: any partition of 0..count, sorted back by block id,
-        // concatenates to the same arena the sequential path produces.
-        parts.sort_unstable_by_key(|p| p.0);
-        debug_assert!(
-            parts.len() == nblocks && parts.iter().enumerate().all(|(i, p)| p.0 == i),
-            "steal cursor must hand out each block exactly once"
+        let parts = steal_blocks(
+            g.num_nodes(),
+            count,
+            self.worker_count(count),
+            |lo, hi, ws| {
+                let ids = (lo..hi).map(|i| first_index + i as u64);
+                sample_ids(g, &self.tables, base, ids, ws)
+            },
         );
+        let parts = match <[_; 1]>::try_from(parts) {
+            Ok([sequential]) => return sequential,
+            Err(parts) => parts,
+        };
         let mut arena = RrArena::with_capacity(count, 2 * count);
         let mut widths = Vec::with_capacity(count);
-        for (_, part, part_widths) in &parts {
+        for (part, part_widths) in &parts {
             arena.append(part);
             widths.extend(part_widths);
         }
         (arena, widths)
+    }
+
+    /// Samples the RR sets at the global set indices `ids` (in the given
+    /// order) of the stream with base seed `seed`: set `ids[k]` is
+    /// bit-identical to what `sample_batch(g, 1, seed, ids[k])` returns,
+    /// because per-set seeds depend only on the global index. This is the
+    /// graph-delta repair entry point — one call resamples an arbitrary
+    /// sparse list with the same work-stealing blocks and one
+    /// [`RrWorkspace`] per worker as [`Self::sample_batch`], instead of one
+    /// workspace and one thread-count lookup per set.
+    pub fn sample_indices(&self, g: &CsrGraph, seed: u64, ids: &[usize]) -> RrArena {
+        if ids.is_empty() || g.num_nodes() == 0 {
+            let mut arena = RrArena::new();
+            arena.push_empty_sets(ids.len());
+            return arena;
+        }
+        let base = mix64(seed);
+        let mut parts = steal_blocks(
+            g.num_nodes(),
+            ids.len(),
+            self.worker_count(ids.len()),
+            |lo, hi, ws| {
+                let block = ids[lo..hi].iter().map(|&i| i as u64);
+                sample_ids(g, &self.tables, base, block, ws).0
+            },
+        )
+        .into_iter();
+        let mut arena = parts.next().unwrap_or_default();
+        for part in parts {
+            arena.append(&part);
+        }
+        arena
+    }
+
+    /// Graph-delta repair of one retained stream: resamples — in place,
+    /// under the unchanged per-set stream seeds, on `g` (the post-delta
+    /// graph this sampler was prepared on) — exactly the sets of `arena`
+    /// that contain a changed-edge target (`changed[v]`). A reverse walk
+    /// only examines the in-edges of the nodes it visits, so every other
+    /// set replays bit-identically on the new graph and is kept; afterwards
+    /// `arena` equals a cold resample of the whole stream on `g`. Returns
+    /// the number of sets replaced.
+    pub fn resample_touched(
+        &self,
+        g: &CsrGraph,
+        seed: u64,
+        arena: &mut RrArena,
+        changed: &[bool],
+    ) -> u64 {
+        let ids = arena.sets_touching(changed);
+        arena.replace_sets(&ids, &self.sample_indices(g, seed, &ids));
+        ids.len() as u64
+    }
+
+    /// Worker count for a call sampling `count` sets: the forced count, or
+    /// the hardware parallelism under the cap — never more than the call
+    /// has steal blocks. Batches that fit one block (KPT pilot rounds,
+    /// small growth steps, small repairs) never query the hardware.
+    fn worker_count(&self, count: usize) -> usize {
+        let limit = count.div_ceil(STEAL_BLOCK).min(32);
+        match self.thread_count {
+            Some(t) => t.min(limit),
+            None => {
+                let cap = self.thread_cap.min(limit);
+                if cap <= 1 {
+                    1
+                } else {
+                    std::thread::available_parallelism()
+                        .map(|p| p.get())
+                        .unwrap_or(1)
+                        .min(cap)
+                }
+            }
+        }
     }
 }
 
@@ -1374,18 +1455,16 @@ mod tests {
         let mut arena = RrArena::new();
         let mut widths = Vec::new();
         let mut decisions = 0usize;
-        sample_tic_rr_range_traced(
+        sample_tic_rr_traced(
             &g,
             &shared,
             &gamma,
             &skip_ln,
             77,
-            0,
-            0,
-            300,
+            0..300,
             &mut arena,
             |_slot, _accepted| decisions += 1,
-            |w| widths.push(w),
+            |_idx, w| widths.push(w),
         );
         assert_eq!(arena, want, "tracing must not perturb the sample");
         assert_eq!(widths, want_w);
@@ -1393,21 +1472,133 @@ mod tests {
         // Split ranges continue the same logical stream.
         let mut split = RrArena::new();
         for (lo, hi) in [(0usize, 100usize), (100, 300)] {
-            sample_tic_rr_range_traced(
+            sample_tic_rr_traced(
                 &g,
                 &shared,
                 &gamma,
                 &skip_ln,
                 77,
-                0,
-                lo,
-                hi,
+                lo..hi,
                 &mut split,
                 |_, _| {},
-                |_| {},
+                |_, _| {},
             );
         }
         assert_eq!(split, want);
+        // A sparse index list samples exactly those sets, reporting each id.
+        let ids = [3usize, 50, 51, 299];
+        let mut sparse = RrArena::new();
+        let mut seen = Vec::new();
+        sample_tic_rr_traced(
+            &g,
+            &shared,
+            &gamma,
+            &skip_ln,
+            77,
+            ids,
+            &mut sparse,
+            |_, _| {},
+            |idx, _| seen.push(idx),
+        );
+        assert_eq!(seen, ids);
+        assert_eq!(sparse, sampler.sample_indices(&g, 77, &ids));
+    }
+
+    /// In-star onto node 20 (degree 20: the geometric-skip path) plus a
+    /// low-degree chain 20 → 21 → 22 → 0 (the per-edge path).
+    fn star_chain_edges() -> Vec<(u32, u32)> {
+        let mut edges: Vec<(u32, u32)> = (0..20).map(|leaf| (leaf, 20)).collect();
+        edges.extend([(20, 21), (21, 22), (22, 0)]);
+        edges
+    }
+
+    /// IC, LT and TIC models over `g`, with per-edge parameters that keep
+    /// the in-star's probabilities uniform (so its skip path engages).
+    fn three_models(g: &CsrGraph) -> Vec<DiffusionModel> {
+        use rm_diffusion::{TicModel, TopicDistribution};
+        let m = g.num_edges();
+        let tic_probs: Vec<f32> = (0..m).flat_map(|_| [0.8, 0.2]).collect();
+        let tic = Arc::new(TicModel::from_matrix(g, 2, tic_probs));
+        vec![
+            DiffusionModel::ic(AdProbs::from_vec(vec![0.5; m])),
+            DiffusionModel::lt(g, AdProbs::from_vec(vec![0.05; m])),
+            DiffusionModel::tic(tic, TopicDistribution::new(&[0.4, 0.6])),
+        ]
+    }
+
+    #[test]
+    fn sample_indices_equals_one_set_batches() {
+        // Any id list — sparse, dense, a single id — must reproduce the
+        // one-set batches at `first_index = id` bit-for-bit, under every
+        // model and forced worker count. The sparse and dense lists span
+        // several steal blocks, so the work-stealing path runs too.
+        let g = graph_from_edges(23, &star_chain_edges());
+        let sparse: Vec<usize> = (0..20_000).step_by(7).collect();
+        let dense: Vec<usize> = (500..3_000).collect();
+        let single = vec![12_345usize];
+        for model in three_models(&g) {
+            let mut s = PreparedSampler::for_model(&g, &model);
+            for ids in [&sparse, &dense, &single] {
+                let want: RrArena = ids
+                    .iter()
+                    .map(|&id| s.sample_batch(&g, 1, 41, id as u64).0.get(0).to_vec())
+                    .collect();
+                for t in [1, 2, 8] {
+                    s.set_thread_count(t);
+                    let got = s.sample_indices(&g, 41, ids);
+                    assert_eq!(got, want, "{} ids at {t} workers", ids.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sample_indices_handles_empty_lists_and_empty_graphs() {
+        let g = chain();
+        let s = PreparedSampler::new(&g, &AdProbs::from_vec(vec![0.5; 3]));
+        assert_eq!(s.sample_indices(&g, 5, &[]), s.sample_batch(&g, 0, 5, 0).0);
+        // A 0-node graph yields one empty set per id, like `sample_batch`.
+        let empty = graph_from_edges(0, &[]);
+        let s0 = PreparedSampler::new(&empty, &AdProbs::from_vec(Vec::new()));
+        let got = s0.sample_indices(&empty, 5, &[0, 9, 4]);
+        assert_eq!(got, s0.sample_batch(&empty, 3, 5, 0).0);
+        assert_eq!(got.len(), 3);
+        assert_eq!(got.total_nodes(), 0);
+    }
+
+    #[test]
+    fn resample_touched_repairs_a_private_arena_to_a_cold_resample() {
+        // Remove chain edge (21, 22): only node 22's in-slots change, so
+        // only sets containing 22 can diverge. After the repair, the arena
+        // must equal a cold θ-set sample of the post-delta graph — under
+        // every model and forced worker count, with enough invalidated sets
+        // to span several steal blocks.
+        let theta = 60_000;
+        let edges = star_chain_edges();
+        let g = graph_from_edges(23, &edges);
+        let kept: Vec<(u32, u32)> = edges.iter().copied().filter(|&e| e != (21, 22)).collect();
+        let g2 = graph_from_edges(23, &kept);
+        let mut changed = [false; 23];
+        changed[22] = true;
+        for (before, after) in three_models(&g).iter().zip(three_models(&g2)) {
+            let (arena, _) = PreparedSampler::for_model(&g, before).sample_batch(&g, theta, 3, 0);
+            let touched = arena.sets_touching(&changed).len();
+            assert!(
+                touched > 2 * STEAL_BLOCK && touched < theta,
+                "{touched} touched"
+            );
+            let mut s2 = PreparedSampler::for_model(&g2, &after);
+            let (cold, _) = s2.sample_batch(&g2, theta, 3, 0);
+            for t in [1, 2, 8] {
+                s2.set_thread_count(t);
+                let mut repaired = arena.clone();
+                assert_eq!(
+                    s2.resample_touched(&g2, 3, &mut repaired, &changed),
+                    touched as u64
+                );
+                assert_eq!(repaired, cold, "repair differs at {t} workers");
+            }
+        }
     }
 
     #[test]
