@@ -104,7 +104,12 @@ fn run(id: &str, opts: Opts) {
         // Likewise explicit-only: the resident-engine replay (recorded runs
         // land in BENCH_serve.json) and the benchmark-trajectory merge.
         "serve" => rm_bench::serve::serve(opts),
-        "bench-merge" => rm_bench::merge::bench_merge(),
+        "bench-merge" => {
+            if let Err(e) = rm_bench::merge::bench_merge() {
+                eprintln!("[bench-merge] cannot write the trajectory blob: {e}");
+                std::process::exit(1);
+            }
+        }
         "all" => {
             experiments::table1(opts);
             experiments::table2(opts);

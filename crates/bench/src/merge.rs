@@ -88,15 +88,19 @@ fn merged(root: &Path) -> (String, Vec<&'static str>) {
     (json, missing)
 }
 
-/// Runs the merge step and writes the blob under `target/experiments/`.
-pub fn bench_merge() {
+/// Runs the merge step and writes the blob under `target/experiments/`,
+/// creating the directory when it does not exist yet. A failure to create
+/// the directory or write the blob is returned, not a panic.
+pub fn bench_merge() -> std::io::Result<()> {
     let root = repo_root();
     let (json, missing) = merged(&root);
     for f in &missing {
         eprintln!("[bench-merge] missing component (embedded as null): {f}");
     }
-    let path = out_dir().join("bench_trajectory.json");
-    std::fs::write(&path, &json).expect("write bench trajectory");
+    let dir = out_dir();
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join("bench_trajectory.json");
+    std::fs::write(&path, &json)?;
     println!(
         "[bench-merge] folded {} of {} components from {} into {}",
         COMPONENTS.len() - missing.len(),
@@ -104,6 +108,7 @@ pub fn bench_merge() {
         root.display(),
         path.display()
     );
+    Ok(())
 }
 
 #[cfg(test)]

@@ -80,3 +80,49 @@ fn malformed_flag_values_exit_2_with_usage() {
         );
     }
 }
+
+/// A fresh, empty scratch directory under the system temp dir.
+fn empty_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("rm-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+#[test]
+fn bench_merge_creates_its_output_dir() {
+    // From a directory with no `target/experiments/` yet, the merge must
+    // create it and write the blob (it used to panic with exit 101).
+    let dir = empty_dir("merge");
+    let out = experiments()
+        .arg("bench-merge")
+        .current_dir(&dir)
+        .output()
+        .expect("run experiments binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    let blob = std::fs::read_to_string(dir.join("target/experiments/bench_trajectory.json"))
+        .expect("trajectory blob written");
+    assert!(blob.contains("\"components\""));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bench_merge_write_failure_exits_1_with_a_message() {
+    // `target` is a plain file, so the output directory cannot be created:
+    // a message and exit 1, not a panic.
+    let dir = empty_dir("merge-fail");
+    std::fs::write(dir.join("target"), "not a directory").expect("write blocker");
+    let out = experiments()
+        .arg("bench-merge")
+        .current_dir(&dir)
+        .output()
+        .expect("run experiments binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("cannot write the trajectory blob"),
+        "stderr must explain the failure, got:\n{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

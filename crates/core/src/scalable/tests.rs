@@ -752,6 +752,61 @@ fn rr_sharing_deterministic_and_thread_invariant() {
 }
 
 #[test]
+fn rr_sharing_reweighted_tic_is_deterministic_and_thread_invariant() {
+    // The reweighted sibling of the IC test above: a topical TIC table,
+    // the reference mixture twice and one non-reference mixture twice, so
+    // the group grows through the traced batch with one shared weight
+    // column. θ spans several 1,024-set steal blocks, so the sampler
+    // thread settings really reach the parallel traced path.
+    let mut rng = SmallRng::seed_from_u64(29);
+    let g = Arc::new(generators::barabasi_albert(300, 3, &mut rng));
+    let tic = Arc::new(TicModel::topical(&g, 2, Default::default(), &mut rng));
+    let ads = [[0.6, 0.4], [0.4, 0.6], [0.6, 0.4], [0.4, 0.6]]
+        .iter()
+        .map(|w| Advertiser::new(1.0, 40.0, TopicDistribution::new(w)))
+        .collect();
+    let inst = RmInstance::build_tic(
+        Arc::clone(&g),
+        tic,
+        ads,
+        IncentiveModel::Linear { alpha: 0.2 },
+        SingletonMethod::RrEstimate { theta: 20_000 },
+        5,
+    );
+    let base = ScalableConfig {
+        sampler_threads: 1,
+        selection_threads: 1,
+        ..pooled_cfg(17)
+    };
+    let (a_base, s_base) = TiEngine::new(&inst, AlgorithmKind::TiCsrm, base).run();
+    assert!(a_base.num_seeds() > 0);
+    assert_eq!(s_base.pool_groups, 1);
+    assert_eq!(s_base.pooled_ads, 4);
+    assert_eq!(s_base.reweighted_ads, 2);
+    let theta = s_base.theta_per_ad.iter().copied().max().unwrap_or(0);
+    assert!(theta > 3 * 1024, "θ = {theta} stays inside one steal block");
+    for (samplers, selectors) in [(4, 1), (1, 8), (4, 8)] {
+        let cfg = ScalableConfig {
+            sampler_threads: samplers,
+            selection_threads: selectors,
+            ..base
+        };
+        let (a_par, s_par) = TiEngine::new(&inst, AlgorithmKind::TiCsrm, cfg).run();
+        assert_eq!(
+            a_base, a_par,
+            "reweighted allocation differs at sampler_threads={samplers} \
+             selection_threads={selectors}"
+        );
+        assert_eq!(
+            deterministic_stats(&s_base),
+            deterministic_stats(&s_par),
+            "reweighted stats differ at sampler_threads={samplers} \
+             selection_threads={selectors}"
+        );
+    }
+}
+
+#[test]
 fn rr_sharing_runs_under_online_bounds() {
     // OnlineBounds + pooling: selection sets come from the shared arena but
     // every ad keeps a PRIVATE validation stream (the stopping rule's

@@ -157,6 +157,20 @@ impl RrArena {
         self.nodes = nodes;
     }
 
+    /// Drops spare capacity, so the arena's resident bytes are its
+    /// contents.
+    pub fn shrink_to_fit(&mut self) {
+        self.offsets.shrink_to_fit();
+        self.nodes.shrink_to_fit();
+    }
+
+    /// Reserves room for `sets` more sets (exactly) and at least `nodes`
+    /// more members.
+    pub fn reserve(&mut self, sets: usize, nodes: usize) {
+        self.offsets.reserve_exact(sets);
+        self.nodes.reserve(nodes);
+    }
+
     /// Ensures capacity for at least `total` member nodes overall.
     pub fn reserve_nodes(&mut self, total: usize) {
         self.nodes.reserve(total.saturating_sub(self.nodes.len()));

@@ -17,9 +17,10 @@
 //!   tenant's private stream would be; weights are omitted (unit weight).
 //! * **Reweighted** — a TIC tenant over the group's shared table with a
 //!   *different* mixture `γ`. The group samples under the reference mixture
-//!   `q` and attaches one importance weight per RR set per tenant (see
-//!   below), making every weighted coverage count an unbiased estimate
-//!   under the tenant's own mixture.
+//!   `q` and attaches one importance weight per RR set per distinct
+//!   mixture (see below), making every weighted coverage count an unbiased
+//!   estimate under the tenant's own mixture. Tenants with equal mixtures
+//!   read one shared weight column.
 //! * **Private** — the tenant cannot share (its mixture puts probability on
 //!   a slot the reference never fires, or vice versa at probability one).
 //!   The pool serves nothing; the caller falls back to a private stream.
@@ -63,23 +64,30 @@
 //! SAMPLE_SALT, group_index)` with set indices continuing across growth
 //! calls, so the pooled sample is a pure function of the build inputs —
 //! independent of tenant arrival order, thread counts, and growth batch
-//! boundaries. Groups without reweighted tenants grow via the
-//! multi-threaded [`PreparedSampler::sample_batch`] (itself thread-count
-//! invariant); groups with reweighted tenants grow via the traced
-//! single-threaded sampler, which is draw-for-draw identical (see
-//! `sampler::sample_tic_rr_traced`), so joining a reweighted tenant
-//! never changes the sets the other tenants read.
+//! boundaries. Groups without reweighted tenants grow via
+//! [`PreparedSampler::sample_batch`]; groups with reweighted tenants grow
+//! via the traced batch (`PreparedSampler::sample_traced`), which runs on
+//! the same work-stealing blocks, is draw-for-draw identical to the
+//! untraced sampler, and computes each set's weights from that set's own
+//! log-sums. Both are bit-identical at any worker count, and joining a
+//! reweighted tenant never changes the sets the other tenants read. Graph
+//! deltas repair reweighted groups through the same traced batch, over the
+//! list of invalidated set ids.
+//!
+//! # Locking
+//!
+//! Each group's state sits behind an `RwLock`. Growth and the KPT cache
+//! take the write lock; [`SharedRrPool::with_range`] runs the caller's
+//! closure (an index ingest) under a shared read lock, so tenants of one
+//! group ingest concurrently.
 
-use std::cell::RefCell;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use rm_diffusion::{AdProbs, DiffusionModel, TicInSlots, TicModel};
 use rm_graph::CsrGraph;
 
 use crate::arena::RrArena;
-use crate::sampler::{
-    gather_tic_skip_ln, sample_tic_rr_traced, stream_seed, threshold, PreparedSampler, COIN_FULL,
-};
+use crate::sampler::{stream_seed, threshold, PreparedSampler, SetIds, TracedBlock, COIN_FULL};
 use crate::tim::{KptEstimator, TimConfig};
 
 /// Salt of the pool's per-group sampling streams. Distinct from every
@@ -105,28 +113,18 @@ pub enum TenantMode {
 }
 
 /// One tenant's slot in a group: the ad index plus, for reweighted tenants,
-/// the tenant's own mixture weights (`None` = identical to the reference).
+/// the index of the tenant's mixture in the group's `mixtures` — and of its
+/// weight column (`None` = identical to the reference).
 struct TenantSpec {
     ad: usize,
-    gamma: Option<Vec<f32>>,
+    column: Option<usize>,
 }
 
-/// Per-group reweighting tables: the shared per-topic in-slot view, the
-/// reference mixture, and its geometric-skip parameters — the inputs of the
-/// traced sampler (duplicating the `PreparedSampler`'s private copies; the
-/// big per-topic table itself is the same `Arc`).
-struct ReweightTables {
-    shared: Arc<TicInSlots>,
-    gamma_ref: Vec<f32>,
-    skip_ln: Vec<f64>,
-}
-
-/// Mutable state of one group, behind its mutex.
+/// Mutable state of one group, behind its lock.
 struct GroupState {
     arena: RrArena,
-    /// Per-tenant importance weights, parallel to the group's specs: one
-    /// f32 per arena set for reweighted tenants, empty for unit-weight
-    /// tenants.
+    /// Importance weights, one column per distinct reweighted mixture
+    /// (parallel to the group's `mixtures`), one f32 per arena set.
     weights: Vec<Vec<f32>>,
     /// KPT pilots cached per calibration size `k` (deterministic in the
     /// group's KPT stream, so every identical tenant gets the same pilot).
@@ -135,22 +133,23 @@ struct GroupState {
 
 /// One model-distinct group of tenants and its shared arena.
 struct PoolGroup {
-    /// Reference-model sampling tables: uniform growth + the shared KPT
-    /// pilot. Groups with reweighted tenants grow through
-    /// [`ReweightTables`] instead, but still pilot KPT here.
+    /// Reference-model sampling tables: growth (traced when the group has
+    /// reweighted tenants), the shared KPT pilot, and the worker count.
     sampler: PreparedSampler,
-    /// Present iff the group carries at least one reweighted tenant.
-    reweight: Option<ReweightTables>,
+    /// The distinct non-reference mixtures of the reweighted tenants, in
+    /// first-seen order; empty when every tenant is identical.
+    mixtures: Vec<Vec<f32>>,
     specs: Vec<TenantSpec>,
     sample_seed: u64,
     kpt_seed: u64,
-    state: Mutex<GroupState>,
+    state: RwLock<GroupState>,
 }
 
 /// Multi-tenant RR-set arena pool keyed by diffusion model. See the module
 /// docs for the sharing model, the importance weight, and the fallback
-/// rules. All methods take `&self`; group state is mutex-protected, so the
-/// pool can be shared across the engine's per-ad initialization workers.
+/// rules. The read-side methods take `&self`; group state is lock-protected,
+/// so the pool can be shared across the engine's per-ad initialization
+/// workers.
 pub struct SharedRrPool {
     groups: Vec<PoolGroup>,
     /// Per-ad `(group, tenant position)`; `None` = [`TenantMode::Private`].
@@ -159,12 +158,9 @@ pub struct SharedRrPool {
     /// tenant's slot stays reserved — group indices, stream seeds and the
     /// reference mixture never move — but it no longer holds the group's
     /// arena resident. When the *last* tenant of a group departs, the
-    /// group's arena, weight rows and cached pilots are dropped; a
+    /// group's arena, weight columns and cached pilots are dropped; a
     /// re-arrival regrows the same deterministic stream from scratch.
     departed: Vec<bool>,
-    /// Worker-thread cap applied to every group sampler (recorded so
-    /// [`Self::apply_delta`]'s rebuilt samplers keep the build-time cap).
-    thread_cap: usize,
 }
 
 /// Both support conditions of the importance weight (module docs) over the
@@ -175,6 +171,27 @@ fn support_compatible(shared: &TicInSlots, gamma_ref: &[f32], gamma: &[f32]) -> 
         let t = threshold(shared.mixed_prob(s, gamma));
         (q != 0 || t == 0) && (q != COIN_FULL || t == COIN_FULL)
     })
+}
+
+/// A group under construction in pass 1 of [`SharedRrPool::build`].
+struct ProtoGroup {
+    specs: Vec<TenantSpec>,
+    mixtures: Vec<Vec<f32>>,
+}
+
+impl ProtoGroup {
+    fn founded_by(ad: usize) -> Self {
+        ProtoGroup {
+            specs: vec![TenantSpec { ad, column: None }],
+            mixtures: Vec::new(),
+        }
+    }
+
+    /// Adds a tenant and returns its position.
+    fn join(&mut self, ad: usize, column: Option<usize>) -> usize {
+        self.specs.push(TenantSpec { ad, column });
+        self.specs.len() - 1
+    }
 }
 
 /// Grouping key of pass 1 — borrows the caller's models.
@@ -195,7 +212,7 @@ impl SharedRrPool {
         // Pass 1: assign each ad to a group (by content-equal flat
         // parameters, or by shared TIC table + mixture compatibility).
         let mut keys: Vec<Key> = Vec::new();
-        let mut protos: Vec<Vec<TenantSpec>> = Vec::new();
+        let mut protos: Vec<ProtoGroup> = Vec::new();
         let mut assignment: Vec<Option<(usize, usize)>> = Vec::with_capacity(models.len());
         for (ad, model) in models.iter().enumerate() {
             let slot = match model {
@@ -209,13 +226,10 @@ impl SharedRrPool {
                         Key::Tic { .. } => false,
                     });
                     match found {
-                        Some(gid) => {
-                            protos[gid].push(TenantSpec { ad, gamma: None });
-                            Some((gid, protos[gid].len() - 1))
-                        }
+                        Some(gid) => Some((gid, protos[gid].join(ad, None))),
                         None => {
                             keys.push(Key::Flat { lt, probs: p });
-                            protos.push(vec![TenantSpec { ad, gamma: None }]);
+                            protos.push(ProtoGroup::founded_by(ad));
                             Some((protos.len() - 1, 0))
                         }
                     }
@@ -227,34 +241,33 @@ impl SharedRrPool {
                     });
                     match found {
                         Some(gid) => {
+                            let proto = &mut protos[gid];
                             // The reference mixture is the group founder's.
                             // INVARIANT: every proto group is created with
                             // its founding tenant already pushed.
-                            let ref_gamma = models[protos[gid][0].ad]
+                            let ref_gamma = models[proto.specs[0].ad]
                                 .tic_parts()
                                 .expect("TIC group founded by a TIC model")
                                 .1
                                 .weights();
-                            if gamma.weights() == ref_gamma {
-                                protos[gid].push(TenantSpec { ad, gamma: None });
-                                Some((gid, protos[gid].len() - 1))
-                            } else if support_compatible(
-                                &tic.in_slot_view(g),
-                                ref_gamma,
-                                gamma.weights(),
-                            ) {
-                                protos[gid].push(TenantSpec {
-                                    ad,
-                                    gamma: Some(gamma.weights().to_vec()),
-                                });
-                                Some((gid, protos[gid].len() - 1))
+                            let gamma = gamma.weights();
+                            if gamma == ref_gamma {
+                                Some((gid, proto.join(ad, None)))
+                            } else if let Some(c) = proto.mixtures.iter().position(|m| m == gamma) {
+                                // A mixture seen before: same support
+                                // verdict, same weights — share its column.
+                                Some((gid, proto.join(ad, Some(c))))
+                            } else if support_compatible(&tic.in_slot_view(g), ref_gamma, gamma) {
+                                proto.mixtures.push(gamma.to_vec());
+                                let column = proto.mixtures.len() - 1;
+                                Some((gid, proto.join(ad, Some(column))))
                             } else {
                                 None // support violation: private fallback
                             }
                         }
                         None => {
                             keys.push(Key::Tic { tic });
-                            protos.push(vec![TenantSpec { ad, gamma: None }]);
+                            protos.push(ProtoGroup::founded_by(ad));
                             Some((protos.len() - 1, 0))
                         }
                     }
@@ -263,39 +276,23 @@ impl SharedRrPool {
             assignment.push(slot);
         }
 
-        // Pass 2: materialize the groups (reference tables, reweight
-        // tables where needed, seeds, empty state).
+        // Pass 2: materialize the groups (reference tables, seeds, empty
+        // state). Only TIC tenants ever get a mixture (pass 1), so a group
+        // with mixtures has a TIC reference sampler to trace.
         let groups = protos
             .into_iter()
             .enumerate()
-            .map(|(gid, specs)| {
-                let founder = &models[specs[0].ad];
-                let mut sampler = PreparedSampler::for_model(g, founder);
+            .map(|(gid, ProtoGroup { specs, mixtures })| {
+                let mut sampler = PreparedSampler::for_model(g, &models[specs[0].ad]);
                 sampler.set_thread_cap(thread_cap);
-                let reweight = if specs.iter().any(|t| t.gamma.is_some()) {
-                    // INVARIANT: only TIC tenants ever get a reweight
-                    // mixture (pass 1), so the founder is a TIC model.
-                    let (tic, gamma_ref) =
-                        founder.tic_parts().expect("reweighted group must be TIC");
-                    let shared = tic.in_slot_view(g);
-                    let gamma_ref = gamma_ref.weights().to_vec();
-                    let skip_ln = gather_tic_skip_ln(g, &shared, &gamma_ref);
-                    Some(ReweightTables {
-                        shared,
-                        gamma_ref,
-                        skip_ln,
-                    })
-                } else {
-                    None
-                };
-                let weights = specs.iter().map(|_| Vec::new()).collect();
+                let weights = vec![Vec::new(); mixtures.len()];
                 PoolGroup {
                     sampler,
-                    reweight,
+                    mixtures,
                     specs,
                     sample_seed: stream_seed(seed ^ SAMPLE_SALT, gid as u64),
                     kpt_seed: stream_seed(seed ^ KPT_SALT, gid as u64),
-                    state: Mutex::new(GroupState {
+                    state: RwLock::new(GroupState {
                         arena: RrArena::new(),
                         weights,
                         kpt: Vec::new(),
@@ -308,7 +305,6 @@ impl SharedRrPool {
             groups,
             assignment,
             departed,
-            thread_cap,
         }
     }
 
@@ -318,7 +314,7 @@ impl SharedRrPool {
         match self.assignment.get(ad).copied().flatten() {
             None => TenantMode::Private,
             Some((gid, pos)) => {
-                if self.groups[gid].specs[pos].gamma.is_some() {
+                if self.groups[gid].specs[pos].column.is_some() {
                     TenantMode::Reweighted
                 } else {
                     TenantMode::Identical
@@ -336,10 +332,10 @@ impl SharedRrPool {
     pub fn kpt(&self, g: &CsrGraph, ad: usize, k: usize, tim: &TimConfig) -> Option<KptEstimator> {
         let (gid, pos) = self.assignment.get(ad).copied().flatten()?;
         let group = &self.groups[gid];
-        if group.specs[pos].gamma.is_some() {
+        if group.specs[pos].column.is_some() {
             return None;
         }
-        let mut st = lock_group(group);
+        let mut st = write_group(group);
         if let Some((_, est)) = st.kpt.iter().find(|(ck, _)| *ck == k) {
             return Some(est.clone());
         }
@@ -349,11 +345,12 @@ impl SharedRrPool {
     }
 
     /// Runs `f` over the tenant's view of the shared sets `lo..hi`: the
-    /// group arena (grown on demand; growth continues the group's one
-    /// logical stream regardless of batch boundaries) and, for reweighted
-    /// tenants, this tenant's per-set weights for the range (`None` = unit
-    /// weight). Returns `None` for private tenants — the caller must use
-    /// its own streams.
+    /// group arena (grown on demand under the write lock; growth continues
+    /// the group's one logical stream regardless of batch boundaries) and,
+    /// for reweighted tenants, the per-set weights of the tenant's mixture
+    /// for the range (`None` = unit weight). `f` runs under a shared read
+    /// lock, so tenants of one group run it concurrently. Returns `None` for
+    /// private tenants — the caller must use its own streams.
     pub fn with_range<R>(
         &self,
         g: &CsrGraph,
@@ -364,14 +361,16 @@ impl SharedRrPool {
     ) -> Option<R> {
         let (gid, pos) = self.assignment.get(ad).copied().flatten()?;
         let group = &self.groups[gid];
-        let mut st = lock_group(group);
-        if st.arena.len() < hi {
-            grow(g, group, &mut st, hi);
+        if read_group(group).arena.len() < hi {
+            let mut st = write_group(group);
+            if st.arena.len() < hi {
+                grow(g, group, &mut st, hi);
+            }
         }
-        let w = group.specs[pos]
-            .gamma
-            .as_ref()
-            .map(|_| &st.weights[pos][lo..hi]);
+        // Arenas shrink only under `&mut self`, so the range is still
+        // resident when the read lock is taken.
+        let st = read_group(group);
+        let w = group.specs[pos].column.map(|c| &st.weights[c][lo..hi]);
         Some(f(&st.arena, lo, hi, w))
     }
 
@@ -381,24 +380,23 @@ impl SharedRrPool {
     pub fn sets_sampled(&self) -> u64 {
         self.groups
             .iter()
-            .map(|grp| lock_group(grp).arena.len() as u64)
+            .map(|grp| read_group(grp).arena.len() as u64)
             .sum()
     }
 
-    /// Resident bytes of the pool: arenas, tenant weight vectors, reference
-    /// sampling tables, and reweight tables. The shared TIC per-topic table
-    /// is **excluded** — it is owned by the `TicModel` and accounted once
-    /// per instance (`PreparedSampler::shared_table_bytes`), not per pool.
+    /// Resident bytes of the pool: arenas, weight columns, reference
+    /// sampling tables, and the reweighted mixtures. The shared TIC
+    /// per-topic table is **excluded** — it is owned by the `TicModel` and
+    /// accounted once per instance (`PreparedSampler::shared_table_bytes`),
+    /// not per pool.
     pub fn memory_bytes(&self) -> usize {
         self.groups
             .iter()
             .map(|grp| {
-                let st = lock_group(grp);
+                let st = read_group(grp);
                 let weight_bytes: usize = st.weights.iter().map(|w| 4 * w.capacity()).sum();
-                let reweight_bytes = grp.reweight.as_ref().map_or(0, |rw| {
-                    4 * rw.gamma_ref.capacity() + 8 * rw.skip_ln.capacity()
-                });
-                st.arena.memory_bytes() + weight_bytes + grp.sampler.memory_bytes() + reweight_bytes
+                let mixture_bytes: usize = grp.mixtures.iter().map(|m| 4 * m.capacity()).sum();
+                st.arena.memory_bytes() + weight_bytes + grp.sampler.memory_bytes() + mixture_bytes
             })
             .sum()
     }
@@ -418,14 +416,14 @@ impl SharedRrPool {
         self.assignment
             .iter()
             .flatten()
-            .filter(|&&(gid, pos)| self.groups[gid].specs[pos].gamma.is_some())
+            .filter(|&&(gid, pos)| self.groups[gid].specs[pos].column.is_some())
             .count()
     }
 
     /// Marks a tenant departed (advertiser removal). Its slot stays
     /// reserved — group indices, stream seeds and the reference mixture are
     /// pinned at build time — but when the *last* tenant of its group
-    /// departs, the group's arena, weight rows and cached KPT pilots are
+    /// departs, the group's arena, weight columns and cached KPT pilots are
     /// dropped, returning the pool's resident memory for that model. A
     /// later [`Self::restore_tenant`] + `with_range` regrows the identical
     /// deterministic stream from scratch. Returns `true` when this
@@ -439,7 +437,7 @@ impl SharedRrPool {
         if !group.specs.iter().all(|t| self.departed[t.ad]) {
             return false;
         }
-        let mut st = lock_group(group);
+        let mut st = write_group(group);
         st.arena = RrArena::new();
         for w in &mut st.weights {
             *w = Vec::new();
@@ -457,16 +455,17 @@ impl SharedRrPool {
     }
 
     /// Repairs the pool after a graph delta: rebuilds every group's
-    /// sampling (and reweight) tables on the new graph, then resamples —
+    /// sampling tables on the new graph, then resamples —
     /// *in place*, under the unchanged per-set stream seeds — exactly the
     /// arena sets whose traces the delta could have touched: the sets
     /// containing a changed-edge **target** (`changed[v]`). A reverse RR
     /// walk only examines the in-edges of nodes it visits, so a set free of
     /// changed targets replays bit-identically on the new graph; after the
     /// repair each group arena is bit-identical to a cold resample of the
-    /// same range on the new graph. Reweighted tenants' importance weights
-    /// are recomputed for the resampled sets (untouched sets keep their
-    /// weights: identical trajectories have identical likelihood ratios).
+    /// same range on the new graph. Reweighted groups resample through the
+    /// same traced batch as their growth, recomputing every weight column
+    /// for the resampled sets (untouched sets keep their weights: identical
+    /// trajectories have identical likelihood ratios).
     /// Cached KPT pilots are dropped — a tenant arriving after the delta
     /// re-pilots on the new graph. Returns the number of sets resampled.
     ///
@@ -483,158 +482,136 @@ impl SharedRrPool {
         assert_eq!(models.len(), self.assignment.len(), "model per ad");
         let mut resampled = 0u64;
         for group in &mut self.groups {
-            let founder = &models[group.specs[0].ad];
-            let mut sampler = PreparedSampler::for_model(g, founder);
-            sampler.set_thread_cap(self.thread_cap);
-            group.sampler = sampler;
-            if group.reweight.is_some() {
-                // INVARIANT: grouping is pinned at build time, where a
-                // reweighted group's founder was checked to be TIC.
-                let (tic, gamma_ref) = founder.tic_parts().expect("reweighted group must be TIC");
-                let shared = tic.in_slot_view(g);
-                let gamma_ref = gamma_ref.weights().to_vec();
-                let skip_ln = gather_tic_skip_ln(g, &shared, &gamma_ref);
-                group.reweight = Some(ReweightTables {
-                    shared,
-                    gamma_ref,
-                    skip_ln,
-                });
-            }
-            let PoolGroup {
-                sampler,
-                reweight,
-                specs,
-                sample_seed,
-                state,
-                ..
-            } = group;
-            // INVARIANT: see `lock_group` — poisoning means a sibling
+            group.sampler = group.sampler.prepare_like(g, &models[group.specs[0].ad]);
+            // INVARIANT: see `read_group` — poisoning means a sibling
             // panicked mid-growth; propagating is the only sound response.
-            let st = state.get_mut().expect("pool group lock poisoned");
+            let st = group.state.get_mut().expect("pool group lock poisoned");
             st.kpt.clear();
-            resampled += match reweight {
-                None => sampler.resample_touched(g, *sample_seed, &mut st.arena, changed),
-                Some(rw) => {
-                    // Traced repair over one workspace: the resampled sets
-                    // plus the reweighted tenants' recomputed weights.
-                    let invalid = st.arena.sets_touching(changed);
-                    let mut repl = RrArena::with_capacity(invalid.len(), 0);
-                    let weights = &mut st.weights;
-                    sample_weighted(
-                        g,
-                        rw,
-                        specs,
-                        *sample_seed,
-                        invalid.iter().copied(),
-                        &mut repl,
-                        |pos, id, w| weights[pos][id] = w,
-                    );
-                    st.arena.replace_sets(&invalid, &repl);
-                    invalid.len() as u64
-                }
-            };
+            if group.mixtures.is_empty() {
+                resampled +=
+                    group
+                        .sampler
+                        .resample_touched(g, group.sample_seed, &mut st.arena, changed);
+                continue;
+            }
+            let ids = st.arena.sets_touching(changed);
+            let mut repl = RrArena::with_capacity(ids.len(), 2 * ids.len());
+            let mut ids_left = ids.iter();
+            let columns = group.mixtures.len();
+            let weights = &mut st.weights;
+            sample_weighted(
+                g,
+                &group.sampler,
+                &group.mixtures,
+                group.sample_seed,
+                SetIds::List(&ids),
+                |block| {
+                    repl.append(&block.arena);
+                    // Chunks first: `zip` must not pull an id past the block.
+                    let chunks = block.weights.chunks_exact(columns);
+                    for (set_w, &id) in chunks.zip(ids_left.by_ref()) {
+                        for (col, &w) in weights.iter_mut().zip(set_w) {
+                            col[id] = w;
+                        }
+                    }
+                },
+            );
+            st.arena.replace_sets(&ids, &repl);
+            resampled += ids.len() as u64;
         }
         resampled
     }
 }
 
-/// Locks a group's state.
-fn lock_group(group: &PoolGroup) -> MutexGuard<'_, GroupState> {
+/// Takes a group's read lock.
+fn read_group(group: &PoolGroup) -> RwLockReadGuard<'_, GroupState> {
     // INVARIANT: poisoning means a sibling panicked mid-growth, leaving an
     // arena/weights length mismatch; propagating is the only sound response.
-    group.state.lock().expect("pool group lock poisoned")
+    group.state.read().expect("pool group lock poisoned")
 }
 
-/// Grows a group's arena (and reweighted tenants' weight vectors) to `hi`
-/// sets, continuing the group's logical sampling stream.
+/// Takes a group's write lock.
+fn write_group(group: &PoolGroup) -> RwLockWriteGuard<'_, GroupState> {
+    // INVARIANT: as in `read_group`.
+    group.state.write().expect("pool group lock poisoned")
+}
+
+/// Grows a group's arena (and its weight columns) to `hi` sets, continuing
+/// the group's logical sampling stream.
 fn grow(g: &CsrGraph, group: &PoolGroup, st: &mut GroupState, hi: usize) {
     let have = st.arena.len();
-    match &group.reweight {
-        None => {
-            // No reweighted tenants: the multi-threaded reference batch
-            // (thread-count invariant, so still deterministic).
-            let (part, _widths) =
-                group
-                    .sampler
-                    .sample_batch(g, hi - have, group.sample_seed, have as u64);
-            st.arena.append(&part);
-        }
-        Some(rw) => {
-            // Traced single-threaded growth: bit-identical sets, plus one
-            // weight per reweighted tenant and set.
-            let GroupState { arena, weights, .. } = st;
-            sample_weighted(
-                g,
-                rw,
-                &group.specs,
-                group.sample_seed,
-                have..hi,
-                arena,
-                |pos, _id, w| weights[pos].push(w),
-            );
-        }
+    if group.mixtures.is_empty() {
+        // No reweighted tenants: the untraced reference batch.
+        let (part, _widths) =
+            group
+                .sampler
+                .sample_batch(g, hi - have, group.sample_seed, have as u64);
+        st.arena.append(&part);
+        return;
     }
-}
-
-/// Samples the group's sets `ids` (in order) onto `arena` through the
-/// traced reference sampler and hands each reweighted tenant's importance
-/// weight for each set to `store(tenant position, set id, weight)` — in set
-/// order, tenants in position order. One likelihood-ratio accumulator per
-/// reweighted tenant; both trace callbacks need the accumulators, hence the
-/// `RefCell` (the callbacks never run reentrantly).
-fn sample_weighted(
-    g: &CsrGraph,
-    rw: &ReweightTables,
-    specs: &[TenantSpec],
-    seed: u64,
-    ids: impl IntoIterator<Item = usize>,
-    arena: &mut RrArena,
-    mut store: impl FnMut(usize, usize, f32),
-) {
-    let rw_tenants: Vec<(usize, &[f32])> = specs
-        .iter()
-        .enumerate()
-        .filter_map(|(pos, t)| t.gamma.as_deref().map(|gm| (pos, gm)))
-        .collect();
-    let ln_acc = RefCell::new(vec![0.0f64; rw_tenants.len()]);
-    sample_tic_rr_traced(
+    // The set count and the weight columns' final size are known; the node
+    // count is not (every set holds at least its root), so the arena grows
+    // by appends and drops its spare capacity at the end. Reserving here,
+    // on the calling thread, keeps the arena out of the sampler workers'
+    // allocator arenas: the workers that splice the blocks only grow it.
+    // Each block is dropped as soon as it is spliced.
+    st.arena.reserve(hi - have, hi - have);
+    for col in &mut st.weights {
+        col.reserve_exact(hi - have);
+    }
+    let GroupState { arena, weights, .. } = st;
+    let ids = SetIds::Range(have as u64, hi as u64);
+    let columns = group.mixtures.len();
+    sample_weighted(
         g,
-        &rw.shared,
-        &rw.gamma_ref,
-        &rw.skip_ln,
-        seed,
+        &group.sampler,
+        &group.mixtures,
+        group.sample_seed,
         ids,
-        arena,
-        |slot, accepted| {
-            let q = threshold(rw.shared.mixed_prob(slot, &rw.gamma_ref));
-            let mut acc = ln_acc.borrow_mut();
-            for (a, &(_, gamma)) in acc.iter_mut().zip(&rw_tenants) {
-                let t = threshold(rw.shared.mixed_prob(slot, gamma));
-                if t == q {
-                    // Equal thresholds contribute factor 1 exactly;
-                    // skipping keeps identical-slot tenants at the f64
-                    // constant 1.0 with zero rounding.
-                    continue;
-                }
-                // `accepted` implies `q > 0` (zero thresholds never consume
-                // a draw); `!accepted` implies `q < 2²⁴`. `t == 0` on an
-                // accepted slot gives ln 0 = −∞ and a clean weight of 0 for
-                // this set.
-                *a += if accepted {
-                    (f64::from(t) / f64::from(q)).ln()
-                } else {
-                    (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln()
-                };
-            }
-        },
-        |id, _width| {
-            let mut acc = ln_acc.borrow_mut();
-            for (a, &(pos, _)) in acc.iter_mut().zip(&rw_tenants) {
-                store(pos, id, a.exp() as f32);
-                *a = 0.0;
+        |block| {
+            arena.append(&block.arena);
+            for (c, col) in weights.iter_mut().enumerate() {
+                col.extend(block.weights.iter().skip(c).step_by(columns));
             }
         },
     );
+    arena.shrink_to_fit();
+}
+
+/// Samples the sets `ids` of the group stream `seed` through the reference
+/// sampler's parallel traced batch, with one importance weight per set and
+/// distinct mixture. Per decided slot, each mixture whose threshold `t`
+/// differs from the reference threshold `q` adds its log likelihood ratio
+/// to its accumulator; equal thresholds contribute factor 1 exactly and are
+/// skipped, which keeps an identical slot at zero rounding.
+fn sample_weighted(
+    g: &CsrGraph,
+    sampler: &PreparedSampler,
+    mixtures: &[Vec<f32>],
+    seed: u64,
+    ids: SetIds<'_>,
+    splice: impl FnMut(TracedBlock) + Send,
+) {
+    // INVARIANT: only TIC tenants ever get a mixture (`build`, pass 1), so
+    // a group with mixtures has a TIC reference sampler.
+    let shared = sampler.tic_table().expect("reweighted group must be TIC");
+    let on_decide = |slot: usize, q: u32, accepted: bool, acc: &mut [f64]| {
+        for (a, gamma) in acc.iter_mut().zip(mixtures) {
+            let t = threshold(shared.mixed_prob(slot, gamma));
+            if t == q {
+                continue;
+            }
+            // `accepted` implies `q > 0` (zero thresholds never consume a
+            // draw); `!accepted` implies `q < 2²⁴`. `t == 0` on an accepted
+            // slot gives ln 0 = −∞ and a clean weight of 0 for this set.
+            *a += if accepted {
+                (f64::from(t) / f64::from(q)).ln()
+            } else {
+                (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln()
+            };
+        }
+    };
+    sampler.sample_traced(g, seed, ids, mixtures.len(), on_decide, splice);
 }
 
 #[cfg(test)]
@@ -974,41 +951,131 @@ mod tests {
             .unwrap();
     }
 
+    /// Forces every group sampler of `pool` to exactly `t` workers.
+    fn force_workers(pool: &mut SharedRrPool, t: usize) {
+        for grp in &mut pool.groups {
+            grp.sampler.set_thread_count(t);
+        }
+    }
+
+    /// The group-0 arena and every weight column, grown to `hi` sets.
+    fn snapshot(pool: &SharedRrPool, g: &CsrGraph, hi: usize) -> (RrArena, Vec<Vec<f32>>) {
+        pool.with_range(g, 0, 0, hi, |_, _, _, _| ()).unwrap();
+        let st = read_group(&pool.groups[0]);
+        (st.arena.clone(), st.weights.clone())
+    }
+
+    /// Reference uniform, then [.7,.3], [.3,.7], [.7,.3]: three reweighted
+    /// tenants over two distinct mixtures.
+    fn repeated_mixture_models(tic: &Arc<TicModel>) -> Vec<DiffusionModel> {
+        [[0.5, 0.5], [0.7, 0.3], [0.3, 0.7], [0.7, 0.3]]
+            .iter()
+            .map(|w| DiffusionModel::tic(Arc::clone(tic), TopicDistribution::new(w)))
+            .collect()
+    }
+
     #[test]
-    fn apply_delta_repairs_reweighted_groups_with_their_weights() {
+    fn reweighted_growth_is_bit_identical_at_any_worker_count() {
+        // 5,000 sets span five steal blocks, so forced counts above one run
+        // the parallel traced path; arena and weight columns must not move.
+        let g = star_chain();
+        let models = repeated_mixture_models(&star_chain_tic(&g));
+        let theta = 5_000;
+        let mut want = None;
+        for t in [1, 2, 8] {
+            let mut pool = SharedRrPool::build(&g, &models, 37, usize::MAX);
+            force_workers(&mut pool, t);
+            let got = snapshot(&pool, &g, theta);
+            assert_eq!(got.0.len(), theta);
+            assert_eq!(got.1.len(), 2, "one column per distinct mixture");
+            assert!(got.1.iter().all(|c| c.len() == theta));
+            match &want {
+                None => want = Some(got),
+                Some(w) => assert_eq!(&got, w, "group differs at {t} workers"),
+            }
+            // Growing 0..700 and then 700..5,000 equals one growth.
+            let mut split = SharedRrPool::build(&g, &models, 37, usize::MAX);
+            force_workers(&mut split, t);
+            snapshot(&split, &g, 700);
+            assert_eq!(
+                Some(snapshot(&split, &g, theta)),
+                want,
+                "split growth differs at {t} workers"
+            );
+        }
+        // The shared sets are the reference model's untraced stream.
+        let (reference, _) = PreparedSampler::for_model(&g, &models[0]).sample_batch(
+            &g,
+            theta,
+            stream_seed(37 ^ SAMPLE_SALT, 0),
+            0,
+        );
+        assert_eq!(want.unwrap().0, reference);
+    }
+
+    #[test]
+    fn equal_mixtures_share_one_weight_column() {
         let g = star_chain();
         let tic = star_chain_tic(&g);
-        let models = vec![
-            DiffusionModel::tic(Arc::clone(&tic), TopicDistribution::uniform(2)),
-            DiffusionModel::tic(Arc::clone(&tic), TopicDistribution::new(&[0.7, 0.3])),
-        ];
-        let mut pool = SharedRrPool::build(&g, &models, 31, usize::MAX);
-        let theta = 300;
-        pool.with_range(&g, 1, 0, theta, |_, _, _, _| ()).unwrap();
-        // Remove chain edge (21, 22): only node 22's in-slots change.
+        let models = repeated_mixture_models(&tic);
+        let pool = SharedRrPool::build(&g, &models, 41, usize::MAX);
+        assert_eq!(pool.reweighted_ads(), 3);
+        assert_eq!(pool.groups[0].mixtures.len(), 2);
+        let theta = 2_000;
+        let column = |ad: usize| {
+            pool.with_range(&g, ad, 0, theta, |_, _, _, w| {
+                let w = w.unwrap();
+                (w.as_ptr(), w.to_vec())
+            })
+            .unwrap()
+        };
+        let (p1, w1) = column(1);
+        let (p3, w3) = column(3);
+        assert_eq!(p1, p3, "equal mixtures must read one column");
+        assert_ne!(column(2).0, p1, "distinct mixtures get distinct columns");
+        // The shared column equals what a lone tenant with that mixture
+        // gets.
+        let lone = SharedRrPool::build(&g, &models[..2], 41, usize::MAX);
+        let want = lone
+            .with_range(&g, 1, 0, theta, |_, _, _, w| w.unwrap().to_vec())
+            .unwrap();
+        assert_eq!(w1, want);
+        assert_eq!(w3, want);
+    }
+
+    #[test]
+    fn apply_delta_repairs_reweighted_groups_with_their_weights() {
+        // Remove chain edge (21, 22): only node 22's in-slots change. At
+        // 30,000 sets the invalidated sets span several steal blocks.
+        let g = star_chain();
+        let models = repeated_mixture_models(&star_chain_tic(&g));
         let mut edges: Vec<(u32, u32)> = (0..20).map(|leaf| (leaf, 20)).collect();
         edges.extend([(20, 21), (22, 0)]);
         let g2 = graph_from_edges(23, &edges);
-        let tic2 = star_chain_tic(&g2);
-        let models2 = vec![
-            DiffusionModel::tic(Arc::clone(&tic2), TopicDistribution::uniform(2)),
-            DiffusionModel::tic(Arc::clone(&tic2), TopicDistribution::new(&[0.7, 0.3])),
-        ];
+        let models2 = repeated_mixture_models(&star_chain_tic(&g2));
         let mut changed = [false; 23];
         changed[22] = true;
-        let resampled = pool.apply_delta(&g2, &models2, &changed);
-        assert!(resampled > 0 && (resampled as usize) < theta);
-        let cold = SharedRrPool::build(&g2, &models2, 31, usize::MAX);
-        let (want_a, want_w) = cold
-            .with_range(&g2, 1, 0, theta, |a, _, _, w| {
-                (a.clone(), w.unwrap().to_vec())
-            })
-            .unwrap();
-        pool.with_range(&g2, 1, 0, theta, |a, _, _, w| {
-            assert_eq!(a, &want_a, "repaired arena must match a cold resample");
-            assert_eq!(w.unwrap(), &want_w[..], "weights must be recomputed");
-        })
-        .unwrap();
+        let theta = 30_000;
+        let cold = snapshot(
+            &SharedRrPool::build(&g2, &models2, 31, usize::MAX),
+            &g2,
+            theta,
+        );
+        for t in [1, 8] {
+            let mut pool = SharedRrPool::build(&g, &models, 31, usize::MAX);
+            force_workers(&mut pool, t);
+            snapshot(&pool, &g, theta);
+            let resampled = pool.apply_delta(&g2, &models2, &changed);
+            assert!(
+                resampled > 2 * 1024 && (resampled as usize) < theta,
+                "{resampled} resampled"
+            );
+            assert_eq!(
+                snapshot(&pool, &g2, theta),
+                cold,
+                "repair at {t} workers must match a cold regrow"
+            );
+        }
     }
 
     #[test]

@@ -289,7 +289,7 @@ fn sample_rr_set_into(
 /// `NAN` otherwise. This is the only per-ad state besides the mixture
 /// itself: O(n) floats, computed with one O(m·L) scan at prepare time — the
 /// shared table stays per-model.
-pub(crate) fn gather_tic_skip_ln(g: &CsrGraph, shared: &TicInSlots, gamma: &[f32]) -> Vec<f64> {
+fn gather_tic_skip_ln(g: &CsrGraph, shared: &TicInSlots, gamma: &[f32]) -> Vec<f64> {
     (0..g.num_nodes() as NodeId)
         .map(|v| {
             let (lo, hi) = g.in_slot_range(v);
@@ -386,10 +386,11 @@ pub(crate) const COIN_FULL: u32 = 1 << 24;
 
 /// [`sample_tic_rr_set_into`] with a **trace** of every per-slot live-edge
 /// decision, the raw material of the shared pool's importance reweighting
-/// (`crate::pool`): `on_decide(slot, accepted)` fires once per in-slot whose
-/// live/blocked outcome this set's trajectory determined. Tracing never
-/// perturbs the RNG stream — the function is draw-for-draw identical to the
-/// untraced sampler, so pooled arenas stay bit-identical to private ones.
+/// (`crate::pool`): `on_decide(slot, thr, accepted)` fires once per in-slot
+/// whose live/blocked outcome this set's trajectory determined, with `thr`
+/// the slot's acceptance threshold under `gamma`. Tracing never perturbs the
+/// RNG stream — the function is draw-for-draw identical to the untraced
+/// sampler, so pooled arenas stay bit-identical to private ones.
 ///
 /// Decision coverage, matching the untraced control flow exactly:
 /// * per-edge path: one decision per unvisited-source slot with a positive
@@ -397,7 +398,9 @@ pub(crate) const COIN_FULL: u32 = 1 << 24;
 ///   the pool's support check guarantees every tenant agrees);
 /// * geometric-skip path: each jump decides every slot from the current
 ///   position through the landing — gap slots failed, the landing accepted;
-///   an overshoot (`j ≥ m`) means all remaining slots failed. Slots whose
+///   an overshoot (`j ≥ m`) means all remaining slots failed. Every slot of
+///   a skip node mixes to the same threshold (that is what enables the
+///   path), so `thr` is mixed once per node visit. Slots whose
 ///   source is already visited still get their decision (their draw is burnt
 ///   either way), which is harmless: their outcome cannot change the set,
 ///   and their weight ratio has mean 1 under the reference.
@@ -410,8 +413,8 @@ fn sample_tic_rr_set_into_traced(
     ws: &mut RrWorkspace,
     set_seed: u64,
     arena: &mut RrArena,
-    on_decide: &mut impl FnMut(usize, bool),
-) -> u64 {
+    mut on_decide: impl FnMut(usize, u32, bool),
+) {
     let n = g.num_nodes();
     debug_assert!(n > 0, "cannot sample from an empty graph");
     let mut rng = SplitMix64::new(set_seed);
@@ -422,28 +425,27 @@ fn sample_tic_rr_set_into_traced(
     arena.nodes.push(root);
     let src = shared.sources();
 
-    let mut width = 0u64;
     let mut i = start;
     while i < arena.nodes.len() {
         let v = arena.nodes[i];
         i += 1;
         let (lo, hi) = g.in_slot_range(v);
         let m = hi - lo;
-        width += m as u64;
         if m >= SKIP_MIN_DEGREE && skip_ln[v as usize] < 0.0 {
             let nl = skip_ln[v as usize];
+            let thr = threshold(shared.mixed_prob(lo, gamma));
             let mut j = 0usize;
             loop {
                 let u = rng.next_f64();
                 let land = j + ((1.0 - u).ln() / nl) as usize;
                 for t in j..land.min(m) {
-                    on_decide(lo + t, false);
+                    on_decide(lo + t, thr, false);
                 }
                 j = land;
                 if j >= m {
                     break;
                 }
-                on_decide(lo + j, true);
+                on_decide(lo + j, thr, true);
                 let s = src[lo + j];
                 if ws.mark[s as usize] != ws.epoch {
                     ws.mark[s as usize] = ws.epoch;
@@ -459,7 +461,7 @@ fn sample_tic_rr_set_into_traced(
                 let thr = threshold(shared.mixed_prob(j, gamma));
                 if thr > 0 {
                     let accepted = rng.next_coin() < thr;
-                    on_decide(j, accepted);
+                    on_decide(j, thr, accepted);
                     if accepted {
                         ws.mark[s as usize] = ws.epoch;
                         arena.nodes.push(s);
@@ -469,44 +471,6 @@ fn sample_tic_rr_set_into_traced(
         }
     }
     arena.offsets.push(arena.nodes.len() as u64);
-    width
-}
-
-/// Samples the global set indices `ids` of stream `seed`, in order, onto
-/// `arena`, tracing per-slot decisions — a contiguous range (pool growth)
-/// and a sparse repair list (graph deltas) alike, over one workspace. Per-set
-/// seeds are derived exactly like [`PreparedSampler::sample_batch`]'s
-/// (`mix64(mix64(seed) ^ idx)`), so the appended sets are bit-identical to
-/// untraced batches at the same indices. `on_set_done(idx, width)` fires
-/// after each set, delimiting the decision stream.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_tic_rr_traced(
-    g: &CsrGraph,
-    shared: &TicInSlots,
-    gamma: &[f32],
-    skip_ln: &[f64],
-    seed: u64,
-    ids: impl IntoIterator<Item = usize>,
-    arena: &mut RrArena,
-    mut on_decide: impl FnMut(usize, bool),
-    mut on_set_done: impl FnMut(usize, u64),
-) {
-    let base = mix64(seed);
-    let mut ws = RrWorkspace::new(g.num_nodes());
-    for idx in ids {
-        let set_seed = mix64(base ^ idx as u64);
-        let width = sample_tic_rr_set_into_traced(
-            g,
-            shared,
-            gamma,
-            skip_ln,
-            &mut ws,
-            set_seed,
-            arena,
-            &mut on_decide,
-        );
-        on_set_done(idx, width);
-    }
 }
 
 /// One in-slot record of the LT sampling tables: Walker-alias acceptance
@@ -722,6 +686,34 @@ impl Tables {
     }
 }
 
+/// The global set indices of one batch: a contiguous range (a new batch,
+/// pool growth) or an explicit list (graph-delta repair).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum SetIds<'a> {
+    /// The indices `lo..hi`.
+    Range(u64, u64),
+    /// The listed indices, in order.
+    List(&'a [usize]),
+}
+
+impl<'a> SetIds<'a> {
+    /// Number of sets in the batch.
+    fn len(&self) -> usize {
+        match *self {
+            SetIds::Range(lo, hi) => (hi - lo) as usize,
+            SetIds::List(ids) => ids.len(),
+        }
+    }
+
+    /// The global indices of batch positions `lo..hi`.
+    fn block(self, lo: usize, hi: usize) -> impl ExactSizeIterator<Item = u64> + 'a {
+        (lo..hi).map(move |k| match self {
+            SetIds::Range(first, _) => first + k as u64,
+            SetIds::List(ids) => ids[k] as u64,
+        })
+    }
+}
+
 /// Samples the global set indices `ids` (stream base `base`), in order, into
 /// a fresh arena, reusing `ws` across calls — the visited array is O(n), so
 /// it must be per-worker state, not per-block (at n = 10⁷ a fresh workspace
@@ -802,6 +794,75 @@ fn steal_blocks<T: Send>(
         "steal cursor must hand out each block exactly once"
     );
     parts.into_iter().map(|p| p.1).collect()
+}
+
+/// [`steal_blocks`] that hands each result to `consume` in block order as
+/// the blocks complete, instead of returning them all: the worker that
+/// finishes the next block in order consumes it, and any finished blocks
+/// queued behind it, under a lock. Only the blocks finished ahead of the
+/// splice point are held at once, never the whole batch. One worker runs
+/// the blocks in order on the calling thread.
+///
+/// The untraced batches keep [`steal_blocks`]: streaming them read a
+/// higher peak RSS on the private-stream `serve-churn` workload.
+fn steal_blocks_streamed<T: Send>(
+    n: usize,
+    count: usize,
+    threads: usize,
+    sample: impl Fn(usize, usize, &mut RrWorkspace) -> T + Sync,
+    mut consume: impl FnMut(T) + Send,
+) {
+    let nblocks = count.div_ceil(STEAL_BLOCK);
+    let bounds = |b: usize| (b * STEAL_BLOCK, ((b + 1) * STEAL_BLOCK).min(count));
+    if threads <= 1 {
+        let mut ws = RrWorkspace::new(n);
+        for b in 0..nblocks {
+            let (lo, hi) = bounds(b);
+            consume(sample(lo, hi, &mut ws));
+        }
+        return;
+    }
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
+    // The next block to consume, the finished blocks queued behind it,
+    // and the consumer.
+    let splice = std::sync::Mutex::new((0usize, std::collections::BTreeMap::new(), consume));
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let (cursor, sample, bounds, splice) = (&cursor, &sample, &bounds, &splice);
+            scope.spawn(move || {
+                let mut ws = RrWorkspace::new(n);
+                loop {
+                    let b = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if b >= nblocks {
+                        break;
+                    }
+                    let (lo, hi) = bounds(b);
+                    let part = sample(lo, hi, &mut ws);
+                    // INVARIANT: poisoning means a sibling panicked while
+                    // consuming; the batch is lost, so propagate.
+                    let mut guard = splice.lock().expect("sampler splice lock poisoned");
+                    let (next, ahead, consume) = &mut *guard;
+                    ahead.insert(b, part);
+                    while let Some(part) = ahead.remove(next) {
+                        consume(part);
+                        *next += 1;
+                    }
+                }
+            });
+        }
+    });
+    debug_assert!(
+        splice.lock().is_ok_and(|sp| sp.0 == nblocks),
+        "steal cursor must hand out each block exactly once"
+    );
+}
+
+/// One work-stealing block of a traced batch
+/// ([`PreparedSampler::sample_traced`]): the block's sets and, set-major,
+/// `columns` importance weights per set.
+pub(crate) struct TracedBlock {
+    pub(crate) arena: RrArena,
+    pub(crate) weights: Vec<f32>,
 }
 
 // The canonical seed-derivation helpers (`mix64`, `stream_seed`) live in
@@ -1026,6 +1087,94 @@ impl PreparedSampler {
         let ids = arena.sets_touching(changed);
         arena.replace_sets(&ids, &self.sample_indices(g, seed, &ids));
         ids.len() as u64
+    }
+
+    /// Traced TIC batch, the shared pool's reweighted growth and repair
+    /// path. Samples the sets `ids` of stream `seed` — bit-identical to
+    /// [`Self::sample_indices`] at the same indices — and gives each set
+    /// `columns` importance weights: `on_decide(slot, thr, accepted, acc)`
+    /// fires once per in-slot the set's trajectory decided (see
+    /// [`sample_tic_rr_set_into_traced`]), with `thr` the slot's threshold
+    /// under this sampler's mixture, and adds log-ratio terms to the set's
+    /// `columns` f64 accumulators; each weight is the `exp` of its own
+    /// per-set sum, rounded once to `f32`.
+    ///
+    /// Runs on [`Self::sample_batch`]'s work-stealing blocks with one
+    /// [`RrWorkspace`] and one weight buffer per worker, and hands the
+    /// blocks to `splice` in index order as they complete — sets and
+    /// weights depend only on the global set index, so the spliced result
+    /// is bit-identical at any worker count. Only TIC samplers trace.
+    pub(crate) fn sample_traced(
+        &self,
+        g: &CsrGraph,
+        seed: u64,
+        ids: SetIds<'_>,
+        columns: usize,
+        on_decide: impl Fn(usize, u32, bool, &mut [f64]) + Sync,
+        mut splice: impl FnMut(TracedBlock) + Send,
+    ) {
+        let Tables::Tic {
+            shared,
+            gamma,
+            skip_ln,
+        } = &self.tables
+        else {
+            // INVARIANT: API contract — the pool traces only TIC groups.
+            unreachable!("traced sampling needs TIC tables");
+        };
+        if g.num_nodes() == 0 {
+            let mut arena = RrArena::new();
+            arena.push_empty_sets(ids.len());
+            let weights = vec![1.0; ids.len() * columns];
+            splice(TracedBlock { arena, weights });
+            return;
+        }
+        let base = mix64(seed);
+        steal_blocks_streamed(
+            g.num_nodes(),
+            ids.len(),
+            self.worker_count(ids.len()),
+            |lo, hi, ws| {
+                let count = hi - lo;
+                let mut arena = RrArena::with_capacity(count, 2 * count);
+                let mut weights = Vec::with_capacity(count * columns);
+                let mut acc = vec![0.0f64; columns];
+                for idx in ids.block(lo, hi) {
+                    sample_tic_rr_set_into_traced(
+                        g,
+                        shared,
+                        gamma,
+                        skip_ln,
+                        ws,
+                        mix64(base ^ idx),
+                        &mut arena,
+                        |slot, thr, accepted| on_decide(slot, thr, accepted, &mut acc),
+                    );
+                    weights.extend(acc.iter().map(|a| a.exp() as f32));
+                    acc.fill(0.0);
+                }
+                TracedBlock { arena, weights }
+            },
+            splice,
+        );
+    }
+
+    /// The shared per-topic in-slot table of a TIC sampler.
+    pub(crate) fn tic_table(&self) -> Option<&TicInSlots> {
+        match &self.tables {
+            Tables::Tic { shared, .. } => Some(shared),
+            _ => None,
+        }
+    }
+
+    /// Prepares `model` on `g` with this sampler's thread settings (cap and
+    /// forced count) — how a graph delta rebuilds a sampler in place.
+    pub(crate) fn prepare_like(&self, g: &CsrGraph, model: &DiffusionModel) -> Self {
+        PreparedSampler {
+            thread_cap: self.thread_cap,
+            thread_count: self.thread_count,
+            ..Self::for_model(g, model)
+        }
     }
 
     /// Worker count for a call sampling `count` sets: the forced count, or
@@ -1435,72 +1584,73 @@ mod tests {
     #[test]
     fn tic_traced_range_is_bit_identical_to_untraced_batches() {
         use rm_diffusion::{TicModel, TopicDistribution};
+        use std::sync::atomic::{AtomicUsize, Ordering};
         // Mixed-degree graph hitting both the per-edge and the skip path:
         // an in-star (degree 20, uniform mixed probability 0.5) plus a
-        // low-degree chain.
-        let mut edges: Vec<(u32, u32)> = (0..20).map(|leaf| (leaf, 20)).collect();
-        edges.extend([(20, 21), (21, 22), (22, 0)]);
-        let g = graph_from_edges(23, &edges);
+        // low-degree chain. 3,000 sets span three steal blocks.
+        let g = graph_from_edges(23, &star_chain_edges());
         let probs: Vec<f32> = (0..g.num_edges()).flat_map(|_| [0.8, 0.2]).collect();
         let tic = std::sync::Arc::new(TicModel::from_matrix(&g, 2, probs));
-        let gamma_d = TopicDistribution::uniform(2);
-        let model = DiffusionModel::tic(Arc::clone(&tic), gamma_d.clone());
-        let sampler = PreparedSampler::for_model(&g, &model);
-        let (want, want_w) = sampler.sample_batch(&g, 300, 77, 0);
-
-        let shared = tic.in_slot_view(&g);
-        let gamma = gamma_d.weights().to_vec();
-        let skip_ln = gather_tic_skip_ln(&g, &shared, &gamma);
+        let gamma = TopicDistribution::uniform(2);
+        let mut sampler =
+            PreparedSampler::for_model(&g, &DiffusionModel::tic(Arc::clone(&tic), gamma.clone()));
+        let Tables::Tic { ref skip_ln, .. } = sampler.tables else {
+            panic!("expected TIC tables");
+        };
         assert!(skip_ln[20] < 0.0, "center must take the geometric path");
-        let mut arena = RrArena::new();
-        let mut widths = Vec::new();
-        let mut decisions = 0usize;
-        sample_tic_rr_traced(
-            &g,
-            &shared,
-            &gamma,
-            &skip_ln,
-            77,
-            0..300,
-            &mut arena,
-            |_slot, _accepted| decisions += 1,
-            |_idx, w| widths.push(w),
-        );
-        assert_eq!(arena, want, "tracing must not perturb the sample");
-        assert_eq!(widths, want_w);
-        assert!(decisions > 0, "the trace must observe decisions");
-        // Split ranges continue the same logical stream.
-        let mut split = RrArena::new();
-        for (lo, hi) in [(0usize, 100usize), (100, 300)] {
-            sample_tic_rr_traced(
-                &g,
-                &shared,
-                &gamma,
-                &skip_ln,
-                77,
-                lo..hi,
-                &mut split,
-                |_, _| {},
-                |_, _| {},
-            );
+        let (want, _) = sampler.sample_batch(&g, 3_000, 77, 0);
+        let shared = tic.in_slot_view(&g);
+        // One column: ln ½ per accepted slot, so a set's weight is
+        // 2^-(accepted decisions).
+        let decisions = AtomicUsize::new(0);
+        let trace = |slot: usize, thr: u32, accepted: bool, acc: &mut [f64]| {
+            assert_eq!(thr, threshold(shared.mixed_prob(slot, gamma.weights())));
+            decisions.fetch_add(1, Ordering::Relaxed);
+            if accepted {
+                acc[0] += 0.5f64.ln();
+            }
+        };
+        let traced = |s: &PreparedSampler, ids: SetIds<'_>| {
+            let mut arena = RrArena::new();
+            let mut weights = Vec::new();
+            s.sample_traced(&g, 77, ids, 1, trace, |b| {
+                arena.append(&b.arena);
+                weights.extend(b.weights);
+            });
+            (arena, weights)
+        };
+        let mut first: Option<Vec<f32>> = None;
+        for t in [1, 2, 8] {
+            sampler.set_thread_count(t);
+            let (arena, weights) = traced(&sampler, SetIds::Range(0, 3_000));
+            assert_eq!(arena, want, "tracing perturbed the sample at {t} workers");
+            assert_eq!(weights.len(), 3_000);
+            for (set, &w) in arena.iter().zip(&weights) {
+                // Every member but the root was accepted once.
+                let bound = 0.5f64.powi(set.len() as i32 - 1) as f32;
+                assert!(w > 0.0 && w <= bound * 1.000_001, "{set:?}: {w}");
+                if g.in_degree(set[0]) == 0 {
+                    assert_eq!(w, 1.0, "undecided sets keep weight exactly 1");
+                }
+            }
+            match &first {
+                None => first = Some(weights),
+                Some(f) => assert_eq!(&weights, f, "weights differ at {t} workers"),
+            }
         }
-        assert_eq!(split, want);
-        // A sparse index list samples exactly those sets, reporting each id.
-        let ids = [3usize, 50, 51, 299];
-        let mut sparse = RrArena::new();
-        let mut seen = Vec::new();
-        sample_tic_rr_traced(
-            &g,
-            &shared,
-            &gamma,
-            &skip_ln,
-            77,
-            ids,
-            &mut sparse,
-            |_, _| {},
-            |idx, _| seen.push(idx),
+        assert!(
+            decisions.load(Ordering::Relaxed) > 0,
+            "the trace saw nothing"
         );
-        assert_eq!(seen, ids);
+        // Split ranges continue the same logical stream, and a sparse index
+        // list samples exactly those sets.
+        let (a, _) = traced(&sampler, SetIds::Range(0, 100));
+        let (b, _) = traced(&sampler, SetIds::Range(100, 3_000));
+        let mut split = a;
+        split.append(&b);
+        assert_eq!(split, want);
+        let ids = [3usize, 50, 51, 2_999];
+        let (sparse, _) = traced(&sampler, SetIds::List(&ids));
         assert_eq!(sparse, sampler.sample_indices(&g, 77, &ids));
     }
 
