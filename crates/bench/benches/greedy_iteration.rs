@@ -1,9 +1,10 @@
 //! Full engine runs: TI-CSRM vs TI-CARM end-to-end on a fixed instance,
-//! plus the lazy-vs-eager ablation at bench resolution.
+//! TI-CSRM at the paper's window (w = 5000), plus the lazy-vs-eager
+//! ablation at bench resolution.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rm_bench::setup::{quality_instance, ModelKind};
-use rm_core::{AlgorithmKind, ScalableConfig, TiEngine};
+use rm_core::{AlgorithmKind, ScalableConfig, TiEngine, Window};
 use rm_graph::SyntheticDataset;
 
 fn bench_engine(c: &mut Criterion) {
@@ -39,6 +40,24 @@ fn bench_engine(c: &mut Criterion) {
                 .rounds
         });
     });
+    let paper_window = ScalableConfig {
+        window: Window::Size(5000),
+        ..cfg
+    };
+    group.bench_function("ti_csrm_w5000", |b| {
+        b.iter(|| {
+            TiEngine::new(&inst, AlgorithmKind::TiCsrm, paper_window)
+                .run()
+                .1
+                .rounds
+        });
+    });
+    // Not a timing: the selection work behind the w = 5000 arm.
+    let (_, stats) = TiEngine::new(&inst, AlgorithmKind::TiCsrm, paper_window).run();
+    println!(
+        "ti_csrm_w5000: rounds={} candidate_evaluations={} candidate_refreshes={}",
+        stats.rounds, stats.candidate_evaluations, stats.candidate_refreshes,
+    );
     let eager = ScalableConfig { lazy: false, ..cfg };
     group.bench_function("ti_csrm_eager", |b| {
         b.iter(|| {

@@ -28,14 +28,23 @@ pub struct RunStats {
     /// True if any ad hit the configured RR-set cap (estimates may be
     /// degraded; reported, never silent).
     pub sample_capped: bool,
-    /// Candidate evaluations performed (lazy-evaluation ablation metric).
+    /// Candidate evaluations performed (lazy-evaluation ablation metric):
+    /// `n` per eager scan and per heap rebuild, one per PageRank
+    /// proposal, and one per lazy-heap draw — each valid entry a selection
+    /// draws from an ad's heap, plus one for a draw that finds it empty. A
+    /// window repair counts only the draws it takes from the heap: held
+    /// entries re-validated in place, or re-keyed after the ad's own
+    /// commit, cost none. So a repair after another ad's commit counts the
+    /// one refill draw, where redrawing the window counted about `w`.
+    /// Deterministic and thread-count-invariant.
     pub candidate_evaluations: u64,
     /// Per-ad candidate refreshes: `select_candidate` invocations across
-    /// rounds. The sequential engine re-evaluated every live ad every round
-    /// (`≈ rounds × h`); the snapshot/arbiter engine only refreshes ads
-    /// whose cached proposal a commit invalidated, so this counter measures
-    /// how much cross-advertiser selection work the round loop actually
-    /// performs. Deterministic and thread-count-invariant.
+    /// rounds, a window repair counting as one. The sequential engine
+    /// re-evaluated every live ad every round (`≈ rounds × h`); the
+    /// snapshot/arbiter engine only refreshes ads whose cached proposal a
+    /// commit invalidated, so this counter measures how many ads the round
+    /// loop touches; [`Self::candidate_evaluations`] measures what each
+    /// touch costs. Deterministic and thread-count-invariant.
     pub candidate_refreshes: u64,
     /// Rounds in which the committed node invalidated at least one other
     /// ad's cached candidate (the node sat in that ad's inspected window) —
@@ -43,8 +52,11 @@ pub struct RunStats {
     /// arbitrate. Deterministic and thread-count-invariant.
     pub contended_rounds: u64,
     /// Total non-winner candidate invalidations across rounds (each forces
-    /// one refresh next round). `candidate_refreshes ≈ h + rounds +
-    /// invalidated_candidates` up to termination effects.
+    /// one refresh — a window repair — next round). `candidate_refreshes ≈
+    /// h + rounds + invalidated_candidates`: the initial fill, the
+    /// winner's repair each round and the invalidated ads' repairs, up to
+    /// termination effects (exhaustion probes, heap rebuilds after a
+    /// departure or graph delta, which refresh every surviving ad).
     pub invalidated_candidates: u64,
     /// Stopping-rule evaluations performed across ads (OnlineBounds mode
     /// only; 0 under the fixed-θ schedule).

@@ -5,12 +5,14 @@ use rm_rrsets::{KptEstimator, LazyGreedyHeap, PreparedSampler, RrArena, RrCovera
 
 /// One round's candidate proposal for an ad — the per-round scratch split
 /// out of the long-lived [`AdState`] so selection workers only exchange
-/// this small value while the coverage index and heap stay ad-local.
+/// this small value while the coverage index, heap and window stay
+/// ad-local.
 ///
 /// A candidate stays **cached** across rounds until a committed node lands
-/// in its inspected window (`popped`) or the ad itself commits: nothing the
-/// selection read can have changed before then, so re-running selection
-/// would reproduce it bit-for-bit (see `engine::commit_round`).
+/// in the ad's inspected window ([`AdState::window_hit`]) or the ad itself
+/// commits: nothing the selection read can have changed before then, so
+/// re-running selection would reproduce it bit-for-bit (see
+/// `engine::commit_round`).
 pub(crate) struct Candidate {
     /// Proposed seed node.
     pub v: NodeId,
@@ -20,31 +22,6 @@ pub(crate) struct Candidate {
     /// streams — exact, since counts stay far below 2^53 — and a weighted
     /// sum for reweighted pool tenants.
     pub cov: f64,
-    /// Heap entries popped alongside the candidate (the inspected window),
-    /// to be restored when the proposal is committed or invalidated. Empty
-    /// for the eager-scan ablation and the PageRank cursors.
-    pub popped: Vec<(NodeId, f64)>,
-}
-
-impl Candidate {
-    /// Captures a proposal with its inspected window (each node appears at
-    /// most once: `pop_valid` never returns a node twice).
-    pub fn new(v: NodeId, cov: f64, popped: Vec<(NodeId, f64)>) -> Self {
-        Candidate { v, cov, popped }
-    }
-
-    /// True if committing `v` elsewhere invalidates this proposal: the node
-    /// is the proposal itself or sits in the inspected window.
-    ///
-    /// Deliberately a linear scan: windows are captured far more often than
-    /// any single node is probed against them (a capture follows every
-    /// invalidation), so a sort-at-capture + binary-search scheme costs
-    /// `w log w` per refresh to save `w` cache-linear `u32` compares per
-    /// probe — net negative in both the contended and the cached regime
-    /// (measured on the Table-3 probe arms).
-    pub fn window_hit(&self, v: NodeId) -> bool {
-        self.v == v || self.popped.iter().any(|&(u, _)| u == v)
-    }
 }
 
 /// Everything the engine tracks for one advertiser.
@@ -70,7 +47,17 @@ pub(crate) struct AdState {
     pub cost_total: f64,
     /// Lazy candidate heap (CA: coverage key; CS full: ratio key;
     /// CS windowed: coverage key). Unused by the PageRank baselines.
+    /// Replace it through [`AdState::set_heap`], which drops the window.
     pub heap: LazyGreedyHeap,
+    /// The inspected window: the entries the last selection drew from
+    /// `heap`, in draw order, each with the key it was drawn at — the
+    /// top-`w` live nodes by the heap key (`w = 1` except for windowed
+    /// CS). They stay held out of the heap across rounds, and the next
+    /// selection repairs the window from them plus the heap top
+    /// (`LazyGreedyHeap::pop_window`) instead of pushing them back and
+    /// popping `w` afresh. Empty for the eager ablation and the PageRank
+    /// cursors.
+    pub window: Vec<(NodeId, f64)>,
     /// PageRank candidate order and cursor (baselines only).
     pub pr_order: Vec<NodeId>,
     pub pr_cursor: usize,
@@ -130,6 +117,25 @@ pub(crate) struct OpimAdState {
 }
 
 impl AdState {
+    /// True if committing `v` elsewhere invalidates this ad's cached
+    /// proposal: the node is the proposal itself or sits in the window.
+    ///
+    /// Deliberately a linear scan over cache-contiguous entries: the
+    /// window changes at every repair, so a sorted or hashed membership
+    /// structure would be rebuilt about as often as it is probed.
+    pub fn window_hit(&self, v: NodeId) -> bool {
+        self.candidate.as_ref().is_some_and(|c| c.v == v)
+            || self.window.iter().any(|&(u, _)| u == v)
+    }
+
+    /// Installs a freshly built heap. The window is dropped with the old
+    /// heap: a rebuild holds every live node, so the next selection draws
+    /// its window from the new heap alone.
+    pub fn set_heap(&mut self, heap: LazyGreedyHeap) {
+        self.heap = heap;
+        self.window = Vec::new();
+    }
+
     /// Internal revenue estimate `π_j(S_j) = cpe · n · covered/θ`.
     ///
     /// Under OnlineBounds the covered count comes from the validation

@@ -94,7 +94,7 @@ pub struct ScalableConfig {
     /// tests assert that invariance at the engine level.
     pub sampler_threads: usize,
     /// Worker threads for the per-round cross-advertiser selection fan-out
-    /// (candidate refresh and post-commit fixups). `usize::MAX` = hardware
+    /// (candidate refresh and window repair). `usize::MAX` = hardware
     /// parallelism; explicit values are honored even past the core count so
     /// tests can exercise the parallel path on any machine. Results are
     /// bit-identical for every value — candidates are evaluated against an
@@ -114,10 +114,10 @@ pub struct ScalableConfig {
     /// Master RNG seed; every run is deterministic given it.
     pub seed: u64,
     /// Test-only oracle switch: invalidate every cached candidate every
-    /// round, reproducing the pre-caching sequential engine's
-    /// refresh-every-round pattern, so equivalence tests can pin the
-    /// caching fast path against it in regimes the golden snapshots do not
-    /// reach (multi-entry windows smaller than the candidate pool).
+    /// round and push every window back into its heap, reproducing the
+    /// pre-caching sequential engine's redraw-every-round pattern, so
+    /// equivalence tests can pin the caching fast path and the window
+    /// repairs against it in regimes the golden snapshots do not reach.
     #[cfg(test)]
     pub(crate) refresh_all_rounds: bool,
 }

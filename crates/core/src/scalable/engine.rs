@@ -5,21 +5,23 @@
 //! The round loop runs in three phases (see DESIGN.md → "Parallel selection
 //! rounds"):
 //!
-//! 1. **Refresh** — candidate evaluation (`select_candidate`: heap pops,
-//!    windowed ratio scans, eager fallback) for every live ad whose cached
-//!    proposal a previous commit invalidated, fanned out across scoped
-//!    worker threads against an immutable snapshot of the `assigned`
-//!    bitmap. Unaffected ads keep their cached proposal: nothing the
-//!    selection read has changed, so re-running it would reproduce the
-//!    proposal bit-for-bit.
+//! 1. **Refresh** — candidate evaluation (`select_candidate`: window
+//!    repair against the lazy heap, eager fallback) for every live ad
+//!    whose cached proposal a previous commit invalidated, fanned out
+//!    across scoped worker threads against an immutable snapshot of the
+//!    `assigned` bitmap. Unaffected ads keep their cached proposal:
+//!    nothing the selection read has changed, so re-running it would
+//!    reproduce the proposal bit-for-bit.
 //! 2. **Arbitrate** — a sequential arbiter picks the winning (ad, node)
 //!    pair exactly as the sequential engine did (same iteration order,
 //!    same tie-breaking), so winners are bit-identical for every worker
 //!    count.
-//! 3. **Fix up** — the winner's commit (restore, seed bookkeeping,
-//!    coverage update, `update_latent`/`certify_or_double` resampling) and
-//!    the window restores of every contended ad are batched and run as
-//!    disjoint per-ad jobs on the same worker pool.
+//! 3. **Fix up** — the winner's commit (seed bookkeeping, coverage update,
+//!    `update_latent`/`certify_or_double` resampling). Contended ads only
+//!    drop their proposal: each ad's inspected window persists across
+//!    rounds, and the next refresh repairs it from the held entries plus
+//!    the heap top, so a commit costs what it changed rather than a
+//!    `w`-entry round trip through the heap.
 //!
 //! The sampling/θ lifecycle (pilot estimation, Eq. 8/OPIM growth, Eq. 10
 //! latent updates) lives in `epoch.rs`; both halves are methods on the
@@ -45,7 +47,7 @@ use crate::metrics::RunStats;
 
 use super::ad_state::{AdState, Candidate};
 use super::config::{AlgorithmKind, ScalableConfig, ScalableConfigError, Window};
-use super::epoch::{EngineCtx, BUDGET_EPS, COST_FLOOR};
+use super::epoch::{available_cores, EngineCtx, BUDGET_EPS, COST_FLOOR};
 use super::resident::ResidentEngine;
 
 /// The one-shot batch engine. Construct once per run; [`TiEngine::run`] is
@@ -126,79 +128,58 @@ impl EngineCtx<'_> {
         });
     }
 
-    /// Phase 3 of a round: the committed pair's fixups, batched across the
-    /// affected ads and run on the selection worker pool. The winner
-    /// restores its window and commits (seed bookkeeping, coverage update,
-    /// validation stream, Eq. 10 latent-size update with
-    /// `certify_or_double`/fixed-θ resampling); every other ad whose cached
-    /// proposal the committed node invalidated restores its inspected
-    /// window so the refresh next round re-pops from an untouched heap.
-    /// Unaffected ads are not touched at all — their cached proposal, and
-    /// the heap entries it holds popped, stay exactly as they were.
-    #[allow(clippy::too_many_arguments)] // round state is threaded, not owned, post-split
+    /// Phase 3 of a round: the winner commits (seed bookkeeping, coverage
+    /// update, validation stream, Eq. 10 latent-size update with
+    /// `certify_or_double`/fixed-θ resampling); every other ad whose window
+    /// the committed node hit drops its proposal, keeping the window held
+    /// for the refresh next round to repair. Unaffected ads are not touched
+    /// at all — their cached proposal and window stay exactly as they were.
     pub(crate) fn commit_round(
         &self,
         ads: &mut [Option<AdState>],
         winner: usize,
         v: NodeId,
         assigned: &[bool],
-        pool: &SelectionPolicy,
         rr_pool: Option<&SharedRrPool>,
         stats: &mut RunStats,
     ) {
         let cacheable = self.cacheable();
         let mut invalidated = 0u64;
-        let mut fixup_cost = 1usize;
-        let mut jobs: Vec<&mut AdState> = Vec::new();
         for st in ads.iter_mut().flatten() {
-            if st.idx == winner {
-                jobs.push(st);
+            if st.idx == winner || st.candidate.is_none() {
                 continue;
             }
-            let Some(cand) = st.candidate.as_ref() else {
-                continue;
-            };
-            let hit = cand.window_hit(v);
+            let hit = st.window_hit(v);
             if hit {
                 invalidated += 1;
             }
             if hit || !cacheable {
-                fixup_cost = fixup_cost.max(cand.popped.len());
-                jobs.push(st);
+                st.candidate = None;
+                if !cacheable {
+                    restore_window(st);
+                }
             }
         }
         stats.invalidated_candidates += invalidated;
         if invalidated > 0 {
             stats.contended_rounds += 1;
         }
-        // Gate on the *fixup* work (the largest window restore), not the
-        // selection estimate: an eager-ablation restore is a no-op and a
-        // windowed restore is O(popped), so spawning for those by the
-        // selection cost would be pure overhead.
-        let threads = pool.threads_for(jobs.len(), fixup_cost);
-        self.for_each_ad(jobs, threads, stats, |st, scratch| {
-            // INVARIANT: commit_round enqueues only ads that held a
-            // candidate this round (the winner and contended losers).
-            let cand = st.candidate.take().expect("fixup jobs hold a candidate");
-            if st.idx == winner {
-                self.commit_winner(st, &cand, assigned, rr_pool, scratch);
-            } else {
-                self.restore(st, &cand, false);
-            }
-        });
+        // INVARIANT: the arbiter returns an active slot holding a candidate.
+        let st = ads[winner].as_mut().expect("arbiter winner slot is active");
+        self.commit_winner(st, v, assigned, rr_pool, stats);
     }
 
     /// Lines 10–14 and 17–22 for the winning ad.
     fn commit_winner(
         &self,
         st: &mut AdState,
-        cand: &Candidate,
+        v: NodeId,
         assigned: &[bool],
         rr_pool: Option<&SharedRrPool>,
         stats: &mut RunStats,
     ) {
-        self.restore(st, cand, true);
-        let v = cand.v;
+        st.candidate = None;
+        self.retire_proposal(st, v);
         st.seeds.push(v);
         st.is_seed[v as usize] = true;
         st.cov.cover_with(v);
@@ -215,7 +196,8 @@ impl EngineCtx<'_> {
         ) {
             st.pr_cursor += 1;
         }
-        // Lines 17–22: latent seed-set-size update + sample growth.
+        // Lines 17–22: latent seed-set-size update + sample growth (a heap
+        // rebuild drops the window).
         if st.seeds.len() >= st.s_latent {
             self.update_latent(st, assigned, rr_pool, stats);
         }
@@ -234,25 +216,30 @@ impl EngineCtx<'_> {
             ) {
                 st.pr_cursor += 1;
             } else {
-                // Restore window co-candidates; drop only the candidate
-                // itself (it stays popped → discarded).
-                for &(u, key) in &cand.popped {
-                    if u != cand.v {
-                        st.heap.push(u, key);
-                    }
-                }
+                self.retire_proposal(st, cand.v);
             }
         }
     }
 
+    /// Takes a committed or discarded proposal `v` out of its ad's window
+    /// for good. The rest of the window stays held for the next repair —
+    /// or, when proposals are not cached, goes back into the heap so the
+    /// next selection draws afresh.
+    fn retire_proposal(&self, st: &mut AdState, v: NodeId) {
+        st.window.retain(|&(u, _)| u != v);
+        if !self.cacheable() {
+            restore_window(st);
+        }
+    }
+
     /// True when cached candidates survive rounds that do not touch their
-    /// window. The lazy heap paths record exactly the entries they
-    /// inspected ([`Candidate::popped`]) and the PageRank cursors inspect a
-    /// single node, so an unaffected proposal would re-derive
-    /// bit-identically. The eager-scan ablation inspects *every* node
-    /// without recording a window (under a windowed ratio the (w+1)-th
-    /// coverage node can enter and win once a window member is assigned),
-    /// so it re-evaluates every ad every round like the sequential engine.
+    /// window. The lazy heap paths hold exactly the entries they inspected
+    /// ([`AdState::window`]) and the PageRank cursors inspect a single
+    /// node, so an unaffected proposal would re-derive bit-identically.
+    /// The eager-scan ablation inspects *every* node without recording a
+    /// window (under a windowed ratio the (w+1)-th coverage node can enter
+    /// and win once a window member is assigned), so it re-evaluates every
+    /// ad every round like the sequential engine.
     fn cacheable(&self) -> bool {
         #[cfg(test)]
         if self.cfg.refresh_all_rounds {
@@ -274,9 +261,7 @@ impl EngineCtx<'_> {
     pub(crate) fn selection_policy(&self) -> SelectionPolicy {
         if self.cfg.selection_threads == usize::MAX {
             SelectionPolicy {
-                cap: std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1),
+                cap: available_cores(),
                 gated: true,
             }
         } else {
@@ -288,20 +273,17 @@ impl EngineCtx<'_> {
     }
 
     /// Rough heap-operations-per-job estimate feeding the auto-mode spawn
-    /// gate: the windowed CS scan pops (and later restores) up to `w`
-    /// entries per ad, the eager ablation scans every node, and the other
-    /// paths touch a handful of entries.
+    /// gate: a windowed CS repair re-validates up to `w` held entries, the
+    /// eager ablation scans every node, and the other paths touch a
+    /// handful of entries.
     fn selection_job_cost(&self) -> usize {
         if !self.cfg.lazy {
             return self.inst().num_nodes();
         }
-        match self.kind {
-            AlgorithmKind::PageRankGr | AlgorithmKind::PageRankRr => 1,
-            AlgorithmKind::TiCarm => 32,
-            AlgorithmKind::TiCsrm => match self.cfg.window {
-                Window::Full => 32,
-                Window::Size(w) => w.max(1),
-            },
+        match self.selection_key() {
+            None => 1,
+            Some((KeyKind::WindowedRatio, w)) => w,
+            Some(_) => 32,
         }
     }
 
@@ -345,18 +327,16 @@ impl EngineCtx<'_> {
                 // INVARIANT: a worker panic is unrecoverable corruption of
                 // the round; propagating it is the only sound response.
                 let mut scratch = handle.join().expect("selection worker panicked");
-                // The only stats the refresh/fixup closures touch; extend
-                // this merge when a worker-side closure grows a counter.
+                // The only stats the refresh closure touches; extend this
+                // merge when a worker-side closure grows a counter.
                 stats.candidate_evaluations += scratch.candidate_evaluations;
                 stats.candidate_refreshes += scratch.candidate_refreshes;
-                stats.budget_exhausted_ads += scratch.budget_exhausted_ads;
                 // Structural guard on the allowlist above: a worker closure
                 // growing any *other* counter would be silently dropped here
                 // while the threads=1 inline path counted it — breaking
                 // thread-count invariance only on multi-core runs.
                 scratch.candidate_evaluations = 0;
                 scratch.candidate_refreshes = 0;
-                scratch.budget_exhausted_ads = 0;
                 debug_assert_eq!(
                     scratch,
                     RunStats::default(),
@@ -376,28 +356,30 @@ impl EngineCtx<'_> {
         ad: usize,
         assigned: &[bool],
     ) -> LazyGreedyHeap {
+        let Some((key, _)) = self.selection_key() else {
+            return LazyGreedyHeap::default();
+        };
         let inst = self.inst();
-        let n = inst.num_nodes();
+        let incent = &inst.incentives[ad];
+        LazyGreedyHeap::build((0..inst.num_nodes() as NodeId).filter_map(|v| {
+            let c = cov.coverage_weight(v);
+            (c > 0.0 && !assigned[v as usize])
+                .then(|| (v, key.heap_key(c, || incent.cost(v).max(COST_FLOOR))))
+        }))
+    }
+
+    /// The heap key and window width of the heap-based algorithms: Alg. 4
+    /// (coverage, `w = 1`) and Alg. 5 (full window: ratio, `w = 1`;
+    /// window `w`: coverage, best ratio among the top `w`). `None` for the
+    /// PageRank cursors.
+    fn selection_key(&self) -> Option<(KeyKind, usize)> {
         match self.kind {
-            AlgorithmKind::PageRankGr | AlgorithmKind::PageRankRr => LazyGreedyHeap::default(),
-            AlgorithmKind::TiCarm => LazyGreedyHeap::build((0..n as NodeId).filter_map(|v| {
-                let c = cov.coverage_weight(v);
-                (c > 0.0 && !assigned[v as usize]).then_some((v, c))
-            })),
-            AlgorithmKind::TiCsrm => match self.cfg.window {
-                Window::Full => LazyGreedyHeap::build((0..n as NodeId).filter_map(|v| {
-                    let c = cov.coverage_weight(v);
-                    if c == 0.0 || assigned[v as usize] {
-                        return None;
-                    }
-                    let cost = inst.incentives[ad].cost(v).max(COST_FLOOR);
-                    Some((v, c / cost))
-                })),
-                Window::Size(_) => LazyGreedyHeap::build((0..n as NodeId).filter_map(|v| {
-                    let c = cov.coverage_weight(v);
-                    (c > 0.0 && !assigned[v as usize]).then_some((v, c))
-                })),
-            },
+            AlgorithmKind::PageRankGr | AlgorithmKind::PageRankRr => None,
+            AlgorithmKind::TiCarm => Some((KeyKind::Coverage, 1)),
+            AlgorithmKind::TiCsrm => Some(match self.cfg.window {
+                Window::Full => (KeyKind::Ratio, 1),
+                Window::Size(w) => (KeyKind::WindowedRatio, w.max(1)),
+            }),
         }
     }
 
@@ -408,99 +390,73 @@ impl EngineCtx<'_> {
         assigned: &[bool],
         stats: &mut RunStats,
     ) -> Option<Candidate> {
-        match self.kind {
-            AlgorithmKind::PageRankGr | AlgorithmKind::PageRankRr => {
-                // Advance past assigned nodes permanently; stop at the first
-                // unassigned node without consuming it.
-                while st.pr_cursor < st.pr_order.len() {
-                    let v = st.pr_order[st.pr_cursor];
-                    if assigned[v as usize] {
-                        st.pr_cursor += 1;
-                        continue;
-                    }
-                    stats.candidate_evaluations += 1;
-                    return Some(Candidate::new(v, st.cov.coverage_weight(v), Vec::new()));
+        let Some((key, w)) = self.selection_key() else {
+            // Advance past assigned nodes permanently; stop at the first
+            // unassigned node without consuming it.
+            while st.pr_cursor < st.pr_order.len() {
+                let v = st.pr_order[st.pr_cursor];
+                if assigned[v as usize] {
+                    st.pr_cursor += 1;
+                    continue;
                 }
-                None
+                stats.candidate_evaluations += 1;
+                let cov = st.cov.coverage_weight(v);
+                return Some(Candidate { v, cov });
             }
-            AlgorithmKind::TiCarm => self.select_by_key(st, assigned, stats, KeyKind::Coverage),
-            AlgorithmKind::TiCsrm => match self.cfg.window {
-                Window::Full => self.select_by_key(st, assigned, stats, KeyKind::Ratio),
-                Window::Size(w) => self.select_windowed(st, assigned, stats, w.max(1)),
-            },
+            return None;
+        };
+        if self.cfg.lazy {
+            self.select_lazy(st, assigned, stats, key, w)
+        } else {
+            self.select_eager(st, assigned, stats, key, w)
         }
     }
 
-    /// Single-candidate selection by the heap's own key (CA coverage, or CS
-    /// full-window ratio). Falls back to an eager scan when `lazy = false`.
-    fn select_by_key(
+    /// Lazy selection: repairs the ad's window — the top-`w` live nodes by
+    /// heap key, in draw order — from the entries it holds plus the heap
+    /// top, then proposes the window's best coverage-to-cost ratio, ties
+    /// going to the last entry in draw order (`w = 1`: the single entry).
+    /// On a fresh heap (empty window) this is `w` plain `pop_valid` draws.
+    fn select_lazy(
         &self,
         st: &mut AdState,
         assigned: &[bool],
         stats: &mut RunStats,
         key: KeyKind,
-    ) -> Option<Candidate> {
-        let ad = st.idx;
-        if !self.cfg.lazy {
-            return self.select_eager(st, assigned, stats, key, 1);
-        }
-        let cov_ref = &st.cov;
-        let incent = &self.inst().incentives[ad];
-        let current = |v: NodeId| -> f64 {
-            let c = cov_ref.coverage_weight(v);
-            match key {
-                KeyKind::Coverage => c,
-                _ => c / incent.cost(v).max(COST_FLOOR),
-            }
-        };
-        stats.candidate_evaluations += 1;
-        let (v, key_now) = st.heap.pop_valid(current, |v| assigned[v as usize])?;
-        Some(Candidate::new(
-            v,
-            cov_ref.coverage_weight(v),
-            vec![(v, key_now)],
-        ))
-    }
-
-    /// Windowed CS selection (Alg. 5 with window `w`): pop the top-`w` nodes
-    /// by coverage, pick the best coverage-to-cost ratio among them.
-    fn select_windowed(
-        &self,
-        st: &mut AdState,
-        assigned: &[bool],
-        stats: &mut RunStats,
         w: usize,
     ) -> Option<Candidate> {
-        let ad = st.idx;
-        if !self.cfg.lazy {
-            return self.select_eager(st, assigned, stats, KeyKind::WindowedRatio, w);
-        }
-        let cov_ref = &st.cov;
-        let mut popped: Vec<(NodeId, f64)> = Vec::with_capacity(w);
-        for _ in 0..w {
-            stats.candidate_evaluations += 1;
-            match st
-                .heap
-                .pop_valid(|v| cov_ref.coverage_weight(v), |v| assigned[v as usize])
-            {
-                Some((v, key_now)) => popped.push((v, key_now)),
-                None => break,
-            }
-        }
-        if popped.is_empty() {
-            return None;
-        }
-        let incent = &self.inst().incentives[ad];
-        let best = popped
-            .iter()
-            .map(|&(v, cov)| (v, cov, cov / incent.cost(v).max(COST_FLOOR)))
-            .max_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(v, cov, _)| (v, cov))?;
-        Some(Candidate::new(best.0, best.1, popped))
+        let incent = &self.inst().incentives[st.idx];
+        let cost = |v: NodeId| incent.cost(v).max(COST_FLOOR);
+        let AdState {
+            cov, heap, window, ..
+        } = st;
+        let cov: &RrCoverage = cov;
+        let mut held = std::mem::take(window);
+        window.reserve_exact(w.min(heap.len() + held.len()));
+        stats.candidate_evaluations += heap.pop_window(
+            &mut held,
+            w,
+            |v| key.heap_key(cov.coverage_weight(v), || cost(v)),
+            |v| assigned[v as usize],
+            window,
+        ) as u64;
+        let v = match key {
+            KeyKind::WindowedRatio => window
+                .iter()
+                .map(|&(v, c)| (v, c / cost(v)))
+                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .map(|(v, _)| v),
+            KeyKind::Coverage | KeyKind::Ratio => window.first().map(|&(v, _)| v),
+        }?;
+        Some(Candidate {
+            v,
+            cov: cov.coverage_weight(v),
+        })
     }
 
     /// Eager (non-lazy) scan over every unassigned node — the ablation
-    /// baseline quantifying what CELF-style laziness saves.
+    /// baseline quantifying what CELF-style laziness saves. It ranks and
+    /// breaks ties exactly as the lazy path does on exact keys.
     fn select_eager(
         &self,
         st: &mut AdState,
@@ -511,64 +467,57 @@ impl EngineCtx<'_> {
     ) -> Option<Candidate> {
         let inst = self.inst();
         let n = inst.num_nodes();
-        let ad = st.idx;
-        let incent = &inst.incentives[ad];
+        let incent = &inst.incentives[st.idx];
+        let cost = |v: NodeId| incent.cost(v).max(COST_FLOOR);
         stats.candidate_evaluations += n as u64;
-        match key {
+        // Live nodes with their coverage.
+        let live = (0..n as NodeId)
+            .filter(|&v| !assigned[v as usize])
+            .map(|v| (v, st.cov.coverage_weight(v)))
+            .filter(|&(_, c)| c > 0.0);
+        let v = match key {
             KeyKind::Coverage | KeyKind::Ratio => {
-                let mut best: Option<(NodeId, f64, f64)> = None;
-                for v in 0..n as NodeId {
-                    if assigned[v as usize] {
-                        continue;
-                    }
-                    let c = st.cov.coverage_weight(v);
-                    if c == 0.0 {
-                        continue;
-                    }
-                    let k = match key {
-                        KeyKind::Coverage => c,
-                        _ => c / incent.cost(v).max(COST_FLOOR),
-                    };
-                    if best.is_none_or(|(_, _, bk)| k > bk) {
-                        best = Some((v, c, k));
+                // First node (lowest id) with the greatest key: the lazy
+                // heap's (key desc, node asc) order.
+                let mut best: Option<(NodeId, f64)> = None;
+                for (v, c) in live {
+                    let k = key.heap_key(c, || cost(v));
+                    if best.is_none_or(|(_, bk)| k > bk) {
+                        best = Some((v, k));
                     }
                 }
-                best.map(|(v, cov, _)| Candidate::new(v, cov, Vec::new()))
+                best.map(|(v, _)| v)
             }
             KeyKind::WindowedRatio => {
-                // Top-w by coverage, then best ratio among them. The f64
-                // comparator orders exact integer images identically to the
-                // former u32 sort; weighted masses are finite by
-                // construction, so the partial order is total here.
-                let mut top: Vec<(NodeId, f64)> = (0..n as NodeId)
-                    .filter(|&v| !assigned[v as usize] && st.cov.coverage_weight(v) > 0.0)
-                    .map(|v| (v, st.cov.coverage_weight(v)))
-                    .collect();
+                // The lazy window: top-w by (coverage desc, node asc), in
+                // that order, then the best ratio with ties going to the
+                // last entry. The f64 comparator orders exact integer
+                // images identically to the former u32 sort; weighted
+                // masses are finite by construction, so the partial order
+                // is total here.
+                let order = |a: &(NodeId, f64), b: &(NodeId, f64)| {
+                    b.1.partial_cmp(&a.1)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.0.cmp(&b.0))
+                };
+                let mut top: Vec<(NodeId, f64)> = live.collect();
                 if top.is_empty() {
                     return None;
                 }
                 let w = w.min(top.len());
-                top.select_nth_unstable_by(w - 1, |a, b| {
-                    b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
-                });
+                top.select_nth_unstable_by(w - 1, order);
                 top.truncate(w);
+                top.sort_unstable_by(order);
                 top.into_iter()
-                    .map(|(v, c)| (v, c, c / incent.cost(v).max(COST_FLOOR)))
-                    .max_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(v, cov, _)| Candidate::new(v, cov, Vec::new()))
+                    .map(|(v, c)| (v, c / cost(v)))
+                    .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+                    .map(|(v, _)| v)
             }
-        }
-    }
-
-    /// Returns popped window entries to the heap, excluding the committed
-    /// node when `committed` is true (its coverage has just changed anyway).
-    fn restore(&self, st: &mut AdState, cand: &Candidate, committed: bool) {
-        for &(v, key) in &cand.popped {
-            if committed && v == cand.v {
-                continue;
-            }
-            st.heap.push(v, key);
-        }
+        }?;
+        Some(Candidate {
+            v,
+            cov: st.cov.coverage_weight(v),
+        })
     }
 
     /// Line 9's global choice over the ads' current (possibly cached)
@@ -678,9 +627,34 @@ impl SelectionPolicy {
     }
 }
 
+/// Returns an ad's held window to its heap, so the next selection draws
+/// the window afresh — the uncached path (eager ablation, whose window is
+/// empty, and the refresh-every-round test oracle).
+fn restore_window(st: &mut AdState) {
+    for (v, key) in st.window.drain(..) {
+        st.heap.push(v, key);
+    }
+}
+
+/// What an ad's lazy heap is keyed by.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum KeyKind {
+    /// Coverage (TI-CARM).
     Coverage,
+    /// Coverage-to-cost ratio (full-window TI-CSRM).
     Ratio,
+    /// Coverage; the proposal is the best ratio among the top `w`
+    /// (windowed TI-CSRM).
     WindowedRatio,
+}
+
+impl KeyKind {
+    /// Heap key of a node with coverage `c` and floored cost `cost()`
+    /// (read only by the ratio key).
+    fn heap_key(self, c: f64, cost: impl FnOnce() -> f64) -> f64 {
+        match self {
+            KeyKind::Ratio => c / cost(),
+            KeyKind::Coverage | KeyKind::WindowedRatio => c,
+        }
+    }
 }

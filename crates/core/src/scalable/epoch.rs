@@ -143,57 +143,15 @@ impl<'a> EngineCtx<'a> {
     ) -> Vec<AdState> {
         let m = ids.len();
         let pr = |j: usize| pr_orders.get(j).cloned().unwrap_or_default();
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
+        let cores = available_cores();
         let workers = cores.min(m).max(1);
         // Split the thread budget between the two fan-out layers: `workers`
         // ad initializations in flight, each allowed `cores / workers`
         // sampler threads, so the product stays at the core count.
         let inner_threads = (cores / workers).max(1).min(self.cfg.sampler_threads);
-        if workers <= 1 {
-            return ids
-                .iter()
-                .map(|&j| self.init_ad(j, pr(j), inner_threads, assigned, rr_pool))
-                .collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Option<AdState>>> =
-            (0..m).map(|_| std::sync::Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let slots = &slots;
-                    scope.spawn(move || loop {
-                        let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if k >= m {
-                            break;
-                        }
-                        let j = ids[k];
-                        let st = self.init_ad(j, pr(j), inner_threads, assigned, rr_pool);
-                        // INVARIANT: poisoning implies a sibling panicked;
-                        // propagate rather than run with partial ad state.
-                        *slots[k].lock().expect("ad-init slot poisoned") = Some(st);
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // INVARIANT: a worker panic is unrecoverable corruption of
-                // the initialization; propagating is the only sound response.
-                handle.join().expect("ad-init worker panicked");
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                // INVARIANT: every job index was written before the joins
-                // above returned; None/poison implies a worker panic.
-                slot.into_inner()
-                    .expect("ad-init slot poisoned")
-                    .expect("ad-init worker skipped an ad")
-            })
-            .collect()
+        par_map_ordered(ids.to_vec(), workers, |j| {
+            self.init_ad(j, pr(j), inner_threads, assigned, rr_pool)
+        })
     }
 
     /// Initializes one ad's state (KPT pilot, θ, initial RR sample, heap).
@@ -322,6 +280,7 @@ impl<'a> EngineCtx<'a> {
             is_seed: vec![false; n],
             cost_total: 0.0,
             heap: LazyGreedyHeap::default(),
+            window: Vec::new(),
             pr_order,
             pr_cursor: 0,
             exhausted: false,
@@ -344,7 +303,7 @@ impl<'a> EngineCtx<'a> {
         }
         // Growth batches run one ad at a time: restore the configured cap.
         st.sampler.set_thread_cap(self.cfg.sampler_threads);
-        st.heap = self.build_heap(&st.cov, j, assigned);
+        st.set_heap(self.build_heap(&st.cov, j, assigned));
         st
     }
 
@@ -560,7 +519,7 @@ impl<'a> EngineCtx<'a> {
                     st.theta = theta_new;
                     // Coverage counts grew: lazy-heap invariant (keys only
                     // decrease) is broken, rebuild from scratch.
-                    st.heap = self.build_heap(&st.cov, st.idx, assigned);
+                    st.set_heap(self.build_heap(&st.cov, st.idx, assigned));
                     stats.candidate_evaluations += n as u64;
                 }
             }
@@ -578,12 +537,77 @@ impl<'a> EngineCtx<'a> {
                 let op = st.opim.as_mut().expect("OnlineBounds ads carry opim state");
                 op.theta_cap = op.theta_cap.max(cap);
                 if self.certify_or_double(st, assigned, rr_pool) {
-                    st.heap = self.build_heap(&st.cov, st.idx, assigned);
+                    st.set_heap(self.build_heap(&st.cov, st.idx, assigned));
                     stats.candidate_evaluations += n as u64;
                 }
             }
         }
     }
+}
+
+/// Hardware parallelism (1 when unknown).
+pub(crate) fn available_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+}
+
+/// Maps `f` over `items` on up to `workers` scoped threads that pull job
+/// indices from a shared counter. Results are keyed by job position, so the
+/// output order — and every downstream tie-break or sum — is deterministic
+/// regardless of scheduling. `workers <= 1` runs inline.
+pub(crate) fn par_map_ordered<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let m = items.len();
+    if workers <= 1 || m <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let jobs: Vec<std::sync::Mutex<Option<T>>> = items
+        .into_iter()
+        .map(|t| std::sync::Mutex::new(Some(t)))
+        .collect();
+    let slots: Vec<std::sync::Mutex<Option<R>>> =
+        (0..m).map(|_| std::sync::Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(m))
+            .map(|_| {
+                let (next, jobs, slots, f) = (&next, &jobs, &slots, &f);
+                scope.spawn(move || loop {
+                    let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if k >= m {
+                        break;
+                    }
+                    // INVARIANT: poisoning implies a sibling panicked —
+                    // propagate rather than run on partial state.
+                    let job = jobs[k].lock().expect("job slot poisoned").take();
+                    // INVARIANT: each index is claimed exactly once.
+                    let out = f(job.expect("job claimed twice"));
+                    // INVARIANT: as above, poisoning implies a panic.
+                    *slots[k].lock().expect("result slot poisoned") = Some(out);
+                })
+            })
+            .collect();
+        for handle in handles {
+            // INVARIANT: a worker panic is unrecoverable corruption of the
+            // fan-out; propagating is the only sound response.
+            handle.join().expect("fan-out worker panicked");
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            // INVARIANT: every job index was written before the joins above
+            // returned; None/poison implies a worker panic.
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("fan-out worker skipped a job")
+        })
+        .collect()
 }
 
 /// Terminal Table-3 accounting for one ad: compacts the live indexes — sets

@@ -44,7 +44,7 @@ use crate::metrics::RunStats;
 use super::ad_state::AdState;
 use super::config::{AlgorithmKind, ScalableConfig, ScalableConfigError};
 use super::engine::SelectionPolicy;
-use super::epoch::{terminal_ad_bytes, EngineCtx};
+use super::epoch::{available_cores, par_map_ordered, terminal_ad_bytes, EngineCtx};
 
 /// How the engine holds its instance: borrowed for the one-shot batch
 /// wrapper (no graph deltas possible), owned behind an [`Arc`] for resident
@@ -320,7 +320,7 @@ impl<'a> ResidentEngine<'a> {
                 // skipped again on the way back down).
                 st.pr_cursor = 0;
             } else {
-                st.heap = ctx.build_heap(&st.cov, st.idx, &self.assigned);
+                st.set_heap(ctx.build_heap(&st.cov, st.idx, &self.assigned));
                 self.stats.candidate_evaluations += n as u64;
             }
         }
@@ -422,9 +422,9 @@ impl<'a> ResidentEngine<'a> {
             if needs_pagerank {
                 st.pr_order = pr_orders.get(j).cloned().unwrap_or_default();
                 st.pr_cursor = 0;
-                st.heap = LazyGreedyHeap::default();
+                st.set_heap(LazyGreedyHeap::default());
             } else {
-                st.heap = ctx.build_heap(&st.cov, j, &self.assigned);
+                st.set_heap(ctx.build_heap(&st.cov, j, &self.assigned));
                 self.stats.candidate_evaluations += n as u64;
             }
         }
@@ -486,14 +486,13 @@ impl<'a> ResidentEngine<'a> {
                         .v;
                     self.assigned[v as usize] = true;
                     self.stats.rounds += 1;
-                    // Commit + fixups (lines 10–14 and 17–22), batched
-                    // across the affected ads.
+                    // Commit (lines 10–14 and 17–22); contended ads drop
+                    // their proposal for the next refresh to repair.
                     self.ctx.commit_round(
                         &mut self.ads,
                         i,
                         v,
                         &self.assigned,
-                        &self.policy,
                         self.rr_pool.as_ref(),
                         &mut self.stats,
                     );
@@ -612,14 +611,20 @@ impl<'a> ResidentEngine<'a> {
         // TIC samplers share one per-topic table across all h ads; count it
         // once (the max, in case some ads carry no table) rather than per ad.
         let mut shared_table_bytes = 0usize;
-        for (i, slot) in ads.into_iter().enumerate() {
-            let Some(mut st) = slot else { continue };
+        // Terminal compaction is independent per ad: fan it out like
+        // `init_ads`, capped at the core count, and sum in ad order.
+        let mut ads: Vec<AdState> = ads.into_iter().flatten().collect();
+        let jobs: Vec<&mut AdState> = ads.iter_mut().collect();
+        let workers = available_cores().min(jobs.len());
+        let ad_bytes = par_map_ordered(jobs, workers, terminal_ad_bytes);
+        for (st, bytes) in ads.into_iter().zip(ad_bytes) {
+            let i = st.idx;
             stats.seeds_per_ad[i] = st.seeds.len();
             stats.theta_per_ad[i] = st.theta;
             stats.latent_size_per_ad[i] = st.s_latent;
             stats.revenue_per_ad[i] = st.pi(inst.ads[i].cpe, n);
             stats.seeding_cost_per_ad[i] = st.cost_total;
-            stats.rr_memory_bytes += terminal_ad_bytes(&mut st);
+            stats.rr_memory_bytes += bytes;
             shared_table_bytes = shared_table_bytes.max(st.sampler.shared_table_bytes());
             stats.rr_sets_sampled += st.samples;
             stats.bound_checks += st.bound_checks;

@@ -106,6 +106,64 @@ fn lazy_and_eager_agree_for_ti_carm() {
     );
 }
 
+/// A tie-heavy instance: 300 nodes, a 4-node chain and isolated nodes
+/// otherwise, with constant incentives — so many nodes share a coverage
+/// count, and equal coverage means an exactly equal coverage-to-cost ratio.
+fn tied_ratio_instance() -> RmInstance {
+    let edges: Vec<(rm_graph::NodeId, rm_graph::NodeId)> = (0..3).map(|i| (i, i + 1)).collect();
+    let g = Arc::new(rm_graph::builder::graph_from_edges(300, &edges));
+    let tic = TicModel::weighted_cascade(&g);
+    let ads = (0..3)
+        .map(|_| Advertiser::new(1.0, 30.0, TopicDistribution::uniform(1)))
+        .collect();
+    RmInstance::build(
+        g,
+        &tic,
+        ads,
+        IncentiveModel::Constant { alpha: 0.5 },
+        SingletonMethod::RrEstimate { theta: 20_000 },
+        11,
+    )
+}
+
+#[test]
+fn lazy_and_eager_agree_for_ti_csrm_windowed() {
+    // The eager ablation must rank exactly like the lazy window: members
+    // by (coverage desc, node asc), ratio ties to the last member. w = 1 is
+    // TI-CARM's order, 8 a proper window, 1000 ≥ n the whole live set. The
+    // tied-ratio instance (small θ) is where an unordered window breaks
+    // ties differently.
+    let arms = [
+        (wc_instance(300, 4, 60.0, 0.2, 33), 400_000),
+        (tied_ratio_instance(), 2_000),
+    ];
+    for (inst, max_sets_per_ad) in &arms {
+        for w in [1, 8, 1000] {
+            let lazy = ScalableConfig {
+                window: Window::Size(w),
+                max_sets_per_ad: *max_sets_per_ad,
+                ..test_cfg(3)
+            };
+            let eager = ScalableConfig {
+                lazy: false,
+                ..lazy
+            };
+            let (a1, s1) = TiEngine::new(inst, AlgorithmKind::TiCsrm, lazy).run();
+            let (a2, s2) = TiEngine::new(inst, AlgorithmKind::TiCsrm, eager).run();
+            let what = format!("w={w} θ≤{max_sets_per_ad}");
+            assert!(a1.num_seeds() > 0, "{what}: no seeds");
+            assert_eq!(a1, a2, "{what}: lazy evaluation must not change the result");
+            assert_eq!(s1.revenue_per_ad, s2.revenue_per_ad, "{what}");
+            assert!(
+                s1.candidate_evaluations < s2.candidate_evaluations,
+                "{what}: lazy ({}) should evaluate fewer candidates than eager ({})",
+                s1.candidate_evaluations,
+                s2.candidate_evaluations
+            );
+        }
+    }
+}
+
 #[test]
 fn constant_incentives_nullify_cost_sensitivity() {
     // Single ad + constant incentives: CS ordering equals CA ordering.
@@ -471,8 +529,8 @@ fn deterministic_stats(s: &crate::RunStats) -> impl PartialEq + std::fmt::Debug 
 
 #[test]
 fn selection_thread_count_invariance() {
-    // The tentpole guarantee: candidate refresh and post-commit fixups fan
-    // out across selection workers, but every worker count — including
+    // The tentpole guarantee: candidate refresh and window repair fan out
+    // across selection workers, but every worker count — including
     // oversubscribed ones — produces bit-identical allocations AND
     // bit-identical deterministic run statistics, for both algorithms and
     // both sampling strategies.
@@ -517,13 +575,14 @@ fn selection_thread_count_invariance_windowed_and_baselines() {
     // contention-rich case) and the PageRank baselines cache cursor
     // proposals; both must stay bit-identical across worker counts.
     let inst = wc_instance(300, 4, 45.0, 0.3, 33);
-    for kind in [
-        AlgorithmKind::TiCsrm,
-        AlgorithmKind::PageRankGr,
-        AlgorithmKind::PageRankRr,
+    for (kind, window) in [
+        (AlgorithmKind::TiCsrm, Window::Size(8)),
+        (AlgorithmKind::TiCsrm, Window::Size(1000)),
+        (AlgorithmKind::PageRankGr, Window::Size(8)),
+        (AlgorithmKind::PageRankRr, Window::Size(8)),
     ] {
         let base = ScalableConfig {
-            window: Window::Size(8),
+            window,
             selection_threads: 1,
             ..test_cfg(29)
         };
@@ -550,15 +609,18 @@ fn selection_thread_count_invariance_windowed_and_baselines() {
     }
 }
 
-#[test]
-fn caching_matches_refresh_every_round_semantics() {
-    // In-repo oracle for the caching fast path in the regime the golden
-    // snapshots cannot reach (multi-entry windows smaller than the
-    // candidate pool, w ≪ n, where caches survive commits): force every
-    // cached candidate invalid every round — the pre-caching sequential
-    // engine's exact refresh pattern — and require identical allocations
-    // and identical engine outputs. Refresh/contention counters are
-    // excluded: differing is their purpose.
+/// Runs `cfg` twice — as configured, and with every cached candidate
+/// forced invalid every round, so each window is pushed back and redrawn
+/// from the heap (the pre-caching sequential engine's exact pattern) — and
+/// requires identical allocations and engine outputs. The windows
+/// themselves must agree round by round, so the contention counters are
+/// compared too; refresh and evaluation counters are excluded: differing
+/// is their purpose.
+fn assert_caching_matches_refresh_every_round(
+    inst: &RmInstance,
+    kind: AlgorithmKind,
+    cfg: ScalableConfig,
+) -> (crate::RunStats, crate::RunStats) {
     let outputs = |s: &crate::RunStats| {
         (
             s.rounds,
@@ -572,60 +634,132 @@ fn caching_matches_refresh_every_round_semantics() {
                 s.sample_capped,
                 s.bound_checks,
                 s.budget_exhausted_ads,
+                s.contended_rounds,
+                s.invalidated_candidates,
             ),
         )
     };
+    let forced_cfg = ScalableConfig {
+        refresh_all_rounds: true,
+        ..cfg
+    };
+    let (a_cached, s_cached) = TiEngine::new(inst, kind, cfg).run();
+    let (a_forced, s_forced) = TiEngine::new(inst, kind, forced_cfg).run();
+    let what = format!("{} {:?} {:?}", kind.name(), cfg.window, cfg.sampling);
+    assert!(a_cached.num_seeds() > 0, "{what}: no seeds");
+    assert_eq!(
+        a_cached, a_forced,
+        "{what}: caching changed the allocation vs refresh-every-round"
+    );
+    assert_eq!(
+        outputs(&s_cached),
+        outputs(&s_forced),
+        "{what}: caching changed engine outputs vs refresh-every-round"
+    );
+    (s_cached, s_forced)
+}
+
+#[test]
+fn caching_matches_refresh_every_round_semantics() {
+    // In-repo oracle for the persistent windows: w = 1 (TI-CARM's shape),
+    // a window smaller than the candidate pool (caches survive commits), a
+    // window covering every live node (every commit hits every window, so
+    // every round repairs), and the full-window ratio heap.
     let inst = wc_instance(300, 4, 60.0, 0.2, 33);
-    for (kind, sampling) in [
-        (AlgorithmKind::TiCsrm, SamplingStrategy::FixedTheta),
-        (AlgorithmKind::TiCsrm, SamplingStrategy::OnlineBounds),
-        (AlgorithmKind::TiCarm, SamplingStrategy::FixedTheta),
-        (AlgorithmKind::PageRankGr, SamplingStrategy::FixedTheta),
-        (AlgorithmKind::PageRankRr, SamplingStrategy::FixedTheta),
-    ] {
-        let cached_cfg = ScalableConfig {
-            window: Window::Size(8),
+    let mut arms = Vec::new();
+    for sampling in [SamplingStrategy::FixedTheta, SamplingStrategy::OnlineBounds] {
+        for window in [
+            Window::Size(1),
+            Window::Size(8),
+            Window::Size(1000),
+            Window::Full,
+        ] {
+            arms.push((AlgorithmKind::TiCsrm, window, sampling));
+        }
+    }
+    arms.extend([
+        (
+            AlgorithmKind::TiCarm,
+            Window::Full,
+            SamplingStrategy::FixedTheta,
+        ),
+        (
+            AlgorithmKind::PageRankGr,
+            Window::Full,
+            SamplingStrategy::FixedTheta,
+        ),
+        (
+            AlgorithmKind::PageRankRr,
+            Window::Full,
+            SamplingStrategy::FixedTheta,
+        ),
+    ]);
+    for (kind, window, sampling) in arms {
+        let cfg = ScalableConfig {
+            window,
             sampling,
             ..test_cfg(29)
         };
-        let forced_cfg = ScalableConfig {
-            refresh_all_rounds: true,
-            ..cached_cfg
-        };
-        let (a_cached, s_cached) = TiEngine::new(&inst, kind, cached_cfg).run();
-        let (a_forced, s_forced) = TiEngine::new(&inst, kind, forced_cfg).run();
-        assert!(a_cached.num_seeds() > 0, "{}: no seeds", kind.name());
-        assert_eq!(
-            a_cached,
-            a_forced,
-            "{} {:?}: caching changed the allocation vs refresh-every-round",
-            kind.name(),
-            sampling
-        );
-        assert_eq!(
-            outputs(&s_cached),
-            outputs(&s_forced),
-            "{} {:?}: caching changed engine outputs vs refresh-every-round",
-            kind.name(),
-            sampling
-        );
+        let (s_cached, s_forced) = assert_caching_matches_refresh_every_round(&inst, kind, cfg);
         // The fast path must actually have engaged for the heap-based
-        // algorithms: fewer refreshes than the forced sequential pattern.
-        // The PageRank baselines share one candidate order across ads, so
-        // every commit legitimately invalidates every proposal (full
-        // contention) and their refresh counts coincide.
+        // algorithms: fewer heap draws than the forced sequential pattern —
+        // cached proposals skip refreshes, and repairs draw only what a
+        // window lost. A window holding every live node is hit by every
+        // commit (full contention), as is every PageRank proposal (one
+        // shared candidate order), so only their refresh counts coincide.
+        assert!(s_cached.candidate_refreshes <= s_forced.candidate_refreshes);
         if matches!(kind, AlgorithmKind::TiCsrm | AlgorithmKind::TiCarm) {
             assert!(
-                s_cached.candidate_refreshes < s_forced.candidate_refreshes,
-                "{} {:?}: caching never engaged ({} vs {} refreshes)",
+                s_cached.candidate_evaluations < s_forced.candidate_evaluations,
+                "{} {window:?} {sampling:?}: caching never engaged ({} vs {} evaluations)",
                 kind.name(),
-                sampling,
-                s_cached.candidate_refreshes,
-                s_forced.candidate_refreshes
+                s_cached.candidate_evaluations,
+                s_forced.candidate_evaluations
             );
-        } else {
-            assert!(s_cached.candidate_refreshes <= s_forced.candidate_refreshes);
         }
+    }
+}
+
+/// A topical TIC instance whose four ads share one pool group: two read
+/// the founder's mixture, two read the shared sets through importance
+/// weights — f64 coverage keys that reach the lazy heap's 1e-12 slack.
+fn reweighted_tic_instance(n: usize, budget: f64, seed: u64) -> RmInstance {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let g = Arc::new(generators::barabasi_albert(n, 3, &mut rng));
+    let tic = Arc::new(TicModel::topical(&g, 2, Default::default(), &mut rng));
+    let ads = [[0.6, 0.4], [0.4, 0.6], [0.6, 0.4], [0.4, 0.6]]
+        .iter()
+        .map(|w| Advertiser::new(1.0, budget, TopicDistribution::new(w)))
+        .collect();
+    RmInstance::build_tic(
+        g,
+        tic,
+        ads,
+        IncentiveModel::Linear { alpha: 0.2 },
+        SingletonMethod::RrEstimate { theta: 20_000 },
+        5,
+    )
+}
+
+#[test]
+fn caching_matches_refresh_every_round_on_reweighted_pool() {
+    // Weighted keys are where a repaired window could drift from a redrawn
+    // one (a re-validated key may sit up to 1e-12 below its stored one), so
+    // equality is tested here rather than assumed from the integer case.
+    let inst = reweighted_tic_instance(300, 40.0, 29);
+    for window in [
+        Window::Size(1),
+        Window::Size(8),
+        Window::Size(1000),
+        Window::Full,
+    ] {
+        let cfg = ScalableConfig {
+            window,
+            ..pooled_cfg(17)
+        };
+        let (s_cached, _) =
+            assert_caching_matches_refresh_every_round(&inst, AlgorithmKind::TiCsrm, cfg);
+        assert_eq!(s_cached.reweighted_ads, 2);
     }
 }
 
@@ -914,6 +1048,7 @@ fn terminal_memory_counts_each_component_exactly_once() {
         is_seed: vec![false; n],
         cost_total: 0.0,
         heap: LazyGreedyHeap::default(),
+        window: Vec::new(),
         pr_order: Vec::new(),
         pr_cursor: 0,
         exhausted: false,
@@ -1220,6 +1355,73 @@ fn resident_graph_delta_replay_is_deterministic() {
     assert_eq!(deterministic_stats(&st1), deterministic_stats(&st8));
     assert!(st1.delta_invalidated_sets > 0);
     assert!(st1.bound_checks > 0, "OnlineBounds path not exercised");
+}
+
+#[test]
+fn resident_script_matches_refresh_every_round_event_for_event() {
+    // Windows persist across resident operations too: arrivals add
+    // competition, departures and graph deltas rebuild heaps (dropping the
+    // windows). A script mixing all three must replay event for event
+    // against the path that redraws every window from the heap each round.
+    let n = 300;
+    let edges = ba_edges(n, 21);
+    let cut = edges.len() - 6;
+    let (kept, moved) = edges.split_at(cut);
+    let delta_out = GraphDelta {
+        inserts: Vec::new(),
+        removes: moved.to_vec(),
+    };
+    let delta_back = GraphDelta {
+        inserts: moved.to_vec(),
+        removes: Vec::new(),
+    };
+    let full = Arc::new(wc_edges_instance(n, &edges, 4, 45.0, 0.2, 21));
+    let cut_inst = Arc::new(wc_edges_instance(n, kept, 4, 45.0, 0.2, 21));
+    let run = |cfg: ScalableConfig| {
+        let mut eng = ResidentEngine::new(Arc::clone(&full), AlgorithmKind::TiCsrm, cfg).unwrap();
+        eng.add_advertisers(&[0, 2]).unwrap();
+        eng.add_advertiser(1).unwrap();
+        eng.apply_graph_delta(Arc::clone(&cut_inst), &delta_out)
+            .unwrap();
+        eng.remove_advertiser(2).unwrap();
+        eng.add_advertiser(3).unwrap();
+        eng.apply_graph_delta(Arc::clone(&full), &delta_back)
+            .unwrap();
+        eng.add_advertiser(2).unwrap();
+        let events = eng.events().to_vec();
+        let (alloc, stats) = eng.finish();
+        (events, alloc, stats)
+    };
+    for cfg in [
+        ScalableConfig {
+            window: Window::Size(8),
+            ..test_cfg(5)
+        },
+        ScalableConfig {
+            window: Window::Size(1000),
+            ..pooled_cfg(5)
+        },
+        ScalableConfig {
+            window: Window::Size(8),
+            ..online_cfg(5)
+        },
+    ] {
+        let (ev, alloc, stats) = run(cfg);
+        let (ev_forced, alloc_forced, stats_forced) = run(ScalableConfig {
+            refresh_all_rounds: true,
+            ..cfg
+        });
+        assert_eq!(ev.len(), 7);
+        assert!(ev.iter().all(|e| e.seeds_total > 0));
+        assert_eq!(ev, ev_forced, "{cfg:?}: event logs differ");
+        assert_eq!(alloc, alloc_forced, "{cfg:?}: allocations differ");
+        assert_eq!(stats.revenue_per_ad, stats_forced.revenue_per_ad);
+        assert_eq!(
+            stats.invalidated_candidates,
+            stats_forced.invalidated_candidates
+        );
+        assert!(stats.candidate_evaluations < stats_forced.candidate_evaluations);
+    }
 }
 
 #[test]

@@ -813,6 +813,15 @@ impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
+
+    /// [`Ord::cmp`]'s `Greater`, branch-free: window merges compare long
+    /// runs of near-tied keys, where a branchy comparison mispredicts. The
+    /// negated `<` is deliberate: incomparable keys fall through to the
+    /// node order, as in `cmp`.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn gt(&self, other: &Self) -> bool {
+        (self.key > other.key) | (!(self.key < other.key) & (self.node < other.node))
+    }
 }
 
 impl LazyGreedyHeap {
@@ -835,7 +844,7 @@ impl LazyGreedyHeap {
         self.heap.is_empty()
     }
 
-    /// Pushes an entry (used to return candidates after window inspection).
+    /// Pushes an entry.
     pub fn push(&mut self, node: NodeId, key: f64) {
         self.heap.push(HeapEntry { key, node });
     }
@@ -848,25 +857,172 @@ impl LazyGreedyHeap {
         mut current_key: impl FnMut(NodeId) -> f64,
         mut skip: impl FnMut(NodeId) -> bool,
     ) -> Option<(NodeId, f64)> {
-        const EPS: f64 = 1e-12;
-        while let Some(top) = self.heap.pop() {
-            if skip(top.node) {
-                continue;
-            }
-            let now = current_key(top.node);
-            if now + EPS >= top.key {
-                return Some((top.node, now));
-            }
-            // Stale: reinsert with the fresh key unless it is dead.
-            if now > 0.0 {
-                self.heap.push(HeapEntry {
-                    key: now,
-                    node: top.node,
-                });
+        loop {
+            match self.pop_step(&mut current_key, &mut skip) {
+                PopStep::Valid(node, now) => return Some((node, now)),
+                PopStep::Retry => continue,
+                PopStep::Empty => return None,
             }
         }
-        None
     }
+
+    /// One iteration of [`Self::pop_valid`]'s loop: pops the top entry and
+    /// returns it if valid, drops or re-inserts it otherwise.
+    fn pop_step(
+        &mut self,
+        current_key: &mut impl FnMut(NodeId) -> f64,
+        skip: &mut impl FnMut(NodeId) -> bool,
+    ) -> PopStep {
+        let Some(top) = self.heap.pop() else {
+            return PopStep::Empty;
+        };
+        if skip(top.node) {
+            return PopStep::Retry;
+        }
+        let now = current_key(top.node);
+        if is_fresh(now, top.key) {
+            return PopStep::Valid(top.node, now);
+        }
+        // Stale: reinsert with the fresh key unless it is dead.
+        if now > 0.0 {
+            self.heap.push(HeapEntry {
+                key: now,
+                node: top.node,
+            });
+        }
+        PopStep::Retry
+    }
+
+    /// Draws up to `w` valid entries into `out` (cleared first), in pop
+    /// order, from the union of the heap and `held` — entries drawn from
+    /// this heap earlier and held out of it since, each with the key it was
+    /// drawn at (so no node is in both). Keys may only have decreased since
+    /// `held` was drawn.
+    ///
+    /// `out`, and the heap left behind, are exactly what pushing `held`
+    /// back and calling [`Self::pop_valid`] `w` times would produce — the
+    /// same entries, keys and pop order, 1e-12 slack included. The held
+    /// entries are re-validated in place instead: a held entry whose key
+    /// dropped is re-keyed through a sorted side run rather than a heap
+    /// round trip, and only the held entries the `w` draws do not reach go
+    /// back into the heap. `held` is left empty.
+    ///
+    /// Returns the number of draws that reached the heap itself: one per
+    /// valid entry the heap supplied, plus one if the union ran dry before
+    /// `w` — what `w` calls to [`Self::pop_valid`] count when `held` is
+    /// empty.
+    pub fn pop_window(
+        &mut self,
+        held: &mut Vec<(NodeId, f64)>,
+        w: usize,
+        mut current_key: impl FnMut(NodeId) -> f64,
+        mut skip: impl FnMut(NodeId) -> bool,
+        out: &mut Vec<(NodeId, f64)>,
+    ) -> usize {
+        out.clear();
+        let entry = |&(node, key): &(NodeId, f64)| HeapEntry { key, node };
+        // The held run in heap order. Draw order already is heap order
+        // unless the slack returned a key below its stored one.
+        if !held
+            .windows(2)
+            .fold(true, |sorted, p| sorted & (entry(&p[0]) > entry(&p[1])))
+        {
+            held.sort_unstable_by_key(|e| std::cmp::Reverse(entry(e)));
+        }
+        // Current key of every held entry (`None`: skipped, dropped when
+        // reached). A stale one is re-inserted at its current key once the
+        // draws pass it: `requeued` holds those re-keyed entries in heap
+        // order, tagged with their position in `held`. No pass check is
+        // needed while merging — a re-keyed entry sits below its held
+        // original, so it can outrank the held head only once the draws
+        // have passed that original.
+        let mut now = Vec::with_capacity(held.len());
+        let mut requeued: Vec<(HeapEntry, usize)> = Vec::new();
+        for (i, &(node, key)) in held.iter().enumerate() {
+            let c = (!skip(node)).then(|| current_key(node));
+            if let Some(c) = c.filter(|&c| !is_fresh(c, key) && c > 0.0) {
+                requeued.push((HeapEntry { key: c, node }, i));
+            }
+            now.push(c);
+        }
+        requeued.sort_unstable_by_key(|r| std::cmp::Reverse(r.0));
+        let above = |e: HeapEntry, bound: Option<HeapEntry>| bound.is_none_or(|b| e > b);
+        let (mut next, mut next_requeued, mut drawn) = (0, 0, 0);
+        while out.len() < w {
+            // The three heads; whichever side leads is drawn from in one
+            // run, up to the larger of the other two heads.
+            let top = self.heap.peek().copied();
+            let held_head = held.get(next).map(entry);
+            let requeued_head = requeued.get(next_requeued).map(|&(e, _)| e);
+            if held_head.is_some_and(|h| above(h, top) && above(h, requeued_head)) {
+                let bound = top.max(requeued_head);
+                while let Some(e) = held.get(next).filter(|e| above(entry(e), bound)) {
+                    let (node, key) = *e;
+                    let c = now[next];
+                    next += 1;
+                    if let Some(c) = c.filter(|&c| is_fresh(c, key)) {
+                        out.push((node, c));
+                        if out.len() == w {
+                            break;
+                        }
+                    }
+                }
+            } else if requeued_head.is_some_and(|r| above(r, top)) {
+                // A re-keyed entry carries its current key: valid.
+                let bound = top.max(held_head);
+                while let Some(&(e, _)) = requeued.get(next_requeued).filter(|r| above(r.0, bound))
+                {
+                    next_requeued += 1;
+                    out.push((e.node, e.key));
+                    if out.len() == w {
+                        break;
+                    }
+                }
+            } else {
+                match self.pop_step(&mut current_key, &mut skip) {
+                    PopStep::Valid(node, now) => {
+                        drawn += 1;
+                        out.push((node, now));
+                    }
+                    PopStep::Retry => {}
+                    PopStep::Empty => {
+                        drawn += 1;
+                        break;
+                    }
+                }
+            }
+        }
+        // Everything the draws did not reach goes back as the heap would
+        // hold it: unreached held entries at their stored keys, passed
+        // re-keyed ones at their current keys.
+        for &(e, i) in &requeued[next_requeued..] {
+            if i < next {
+                self.heap.push(e);
+            }
+        }
+        for &(node, key) in &held[next..] {
+            self.heap.push(HeapEntry { key, node });
+        }
+        held.clear();
+        drawn
+    }
+}
+
+/// Slack under which a popped entry's current key still counts as its
+/// stored key.
+const EPS: f64 = 1e-12;
+
+/// True when an entry stored at `stored` is still valid at current key
+/// `now`.
+fn is_fresh(now: f64, stored: f64) -> bool {
+    now + EPS >= stored
+}
+
+/// Outcome of one [`LazyGreedyHeap::pop_step`].
+enum PopStep {
+    Valid(NodeId, f64),
+    Retry,
+    Empty,
 }
 
 #[cfg(test)]
@@ -1380,5 +1536,171 @@ mod tests {
         let got2 = heap.pop_valid(|_| 1.0, |_| false);
         assert_eq!(got2, Some((1, 1.0)));
         assert!(heap.pop_valid(|_| 0.0, |_| false).is_none());
+    }
+
+    /// Heap contents as `(key bits, node)`, order-free.
+    fn contents(heap: &LazyGreedyHeap) -> Vec<(u64, NodeId)> {
+        let mut v: Vec<_> = heap
+            .heap
+            .iter()
+            .map(|e| (e.key.to_bits(), e.node))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn pop_window_matches_push_back_and_pop() {
+        // `pop_window` must reproduce "push the held entries back, then
+        // pop_valid w times" exactly — the drawn entries, their order and
+        // keys, and the heap left behind — including keys within the
+        // 1e-12 slack of each other, stale and dead held entries, skipped
+        // nodes and windows wider than the union.
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x9e37);
+        let jitter = [0.0, 3e-13, -3e-13, 7e-13, -7e-13, 2e-12, -2e-12];
+        for case in 0..4000 {
+            let n = rng.random_range(1..24u32);
+            let key = |rng: &mut SmallRng| {
+                f64::from(rng.random_range(0..4u32)) + jitter[rng.random_range(0..jitter.len())]
+            };
+            let current: Vec<f64> = (0..n).map(|_| key(&mut rng).max(0.0)).collect();
+            let skipped: Vec<bool> = (0..n).map(|_| rng.random_bool(0.15)).collect();
+            let (mut in_heap, mut held) = (Vec::new(), Vec::new());
+            for v in 0..n {
+                // Stored keys are mostly upper bounds of the current key,
+                // sometimes within the slack below it.
+                let stored = current[v as usize]
+                    + key(&mut rng).abs() * f64::from(rng.random_range(0..2u32))
+                    + jitter[rng.random_range(0..jitter.len())];
+                match rng.random_range(0..3u32) {
+                    0 => in_heap.push((v, stored)),
+                    1 => held.push((v, stored)),
+                    _ => {}
+                }
+            }
+            if rng.random_bool(0.5) {
+                held.sort_unstable_by(|a, b| {
+                    let e = |&(node, key): &(NodeId, f64)| HeapEntry { key, node };
+                    e(b).cmp(&e(a))
+                });
+            }
+            let w = rng.random_range(1..n as usize + 3);
+
+            let mut naive = LazyGreedyHeap::build(in_heap.iter().chain(&held).copied());
+            let mut want = Vec::new();
+            let mut calls = 0;
+            while want.len() < w {
+                calls += 1;
+                match naive.pop_valid(|v| current[v as usize], |v| skipped[v as usize]) {
+                    Some(e) => want.push(e),
+                    None => break,
+                }
+            }
+
+            let mut heap = LazyGreedyHeap::build(in_heap.iter().copied());
+            let mut got = Vec::new();
+            let held_len = held.len();
+            let drawn = heap.pop_window(
+                &mut held,
+                w,
+                |v| current[v as usize],
+                |v| skipped[v as usize],
+                &mut got,
+            );
+            let bits = |v: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
+                v.iter().map(|&(u, k)| (u, k.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "case {case}: drawn entries differ");
+            assert_eq!(
+                contents(&heap),
+                contents(&naive),
+                "case {case}: heaps differ"
+            );
+            assert!(held.is_empty());
+            if held_len == 0 {
+                assert_eq!(drawn, calls, "case {case}: draw count");
+            }
+        }
+    }
+
+    #[test]
+    fn pop_window_repairs_track_push_back_over_rounds() {
+        // The engine's usage: a window is drawn, then repaired round after
+        // round — after a node in it is assigned elsewhere, or after keys
+        // drop (the owner's commit, which also retires the committed node).
+        // The repaired window and heap must track the push-back-and-redraw
+        // protocol exactly at every round, near-tied f64 keys included.
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x51ed);
+        for case in 0..300 {
+            let n = rng.random_range(2..60u32);
+            let w = rng.random_range(1..n as usize + 2);
+            let mut current: Vec<f64> = (0..n)
+                .map(|_| {
+                    f64::from(rng.random_range(1..20u32))
+                        + 1e-13 * f64::from(rng.random_range(0..9u32))
+                })
+                .collect();
+            let mut assigned = vec![false; n as usize];
+            let entries: Vec<(NodeId, f64)> = (0..n).map(|v| (v, current[v as usize])).collect();
+            let (mut naive, mut heap) = (
+                LazyGreedyHeap::build(entries.clone()),
+                LazyGreedyHeap::build(entries),
+            );
+            let (mut naive_window, mut window) = (Vec::new(), Vec::new());
+            for round in 0..40 {
+                // Naive: push the window back, pop w afresh.
+                for &(v, k) in &naive_window {
+                    naive.push(v, k);
+                }
+                naive_window.clear();
+                while naive_window.len() < w {
+                    match naive.pop_valid(|v| current[v as usize], |v| assigned[v as usize]) {
+                        Some(e) => naive_window.push(e),
+                        None => break,
+                    }
+                }
+                let mut held = std::mem::take(&mut window);
+                heap.pop_window(
+                    &mut held,
+                    w,
+                    |v| current[v as usize],
+                    |v| assigned[v as usize],
+                    &mut window,
+                );
+                let bits = |v: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
+                    v.iter().map(|&(u, k)| (u, k.to_bits())).collect()
+                };
+                assert_eq!(
+                    bits(&window),
+                    bits(&naive_window),
+                    "case {case} round {round}: windows differ"
+                );
+                assert_eq!(
+                    contents(&heap),
+                    contents(&naive),
+                    "case {case} round {round}: heaps differ"
+                );
+                if window.is_empty() {
+                    break;
+                }
+                let pick = window[rng.random_range(0..window.len())].0;
+                assigned[pick as usize] = true;
+                if rng.random_bool(0.5) {
+                    // The owner committed `pick`: it leaves the window, and
+                    // keys drop — some by less than the 1e-12 slack.
+                    window.retain(|&(u, _)| u != pick);
+                    naive_window.retain(|&(u, _)| u != pick);
+                    for c in current.iter_mut() {
+                        match rng.random_range(0..4u32) {
+                            0 => *c = (*c - f64::from(rng.random_range(1..4u32))).max(0.0),
+                            1 => *c = (*c - 4e-13).max(0.0),
+                            _ => {}
+                        }
+                    }
+                }
+            }
+        }
     }
 }
