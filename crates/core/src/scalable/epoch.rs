@@ -552,9 +552,9 @@ pub(crate) fn available_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `items` on up to `workers` scoped threads that pull job
-/// indices from a shared counter. Results are keyed by job position, so the
-/// output order — and every downstream tie-break or sum — is deterministic
+/// Maps `f` over `items` on up to `workers` scoped threads that pull jobs
+/// from a shared queue. Results are keyed by job position, so the output
+/// order — and every downstream tie-break or sum — is deterministic
 /// regardless of scheduling. `workers <= 1` runs inline.
 pub(crate) fn par_map_ordered<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
@@ -566,27 +566,19 @@ where
     if workers <= 1 || m <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let jobs: Vec<std::sync::Mutex<Option<T>>> = items
-        .into_iter()
-        .map(|t| std::sync::Mutex::new(Some(t)))
-        .collect();
+    let queue = std::sync::Mutex::new(items.into_iter().enumerate());
     let slots: Vec<std::sync::Mutex<Option<R>>> =
         (0..m).map(|_| std::sync::Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers.min(m))
             .map(|_| {
-                let (next, jobs, slots, f) = (&next, &jobs, &slots, &f);
+                let (queue, slots, f) = (&queue, &slots, &f);
                 scope.spawn(move || loop {
-                    let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if k >= m {
-                        break;
-                    }
                     // INVARIANT: poisoning implies a sibling panicked —
                     // propagate rather than run on partial state.
-                    let job = jobs[k].lock().expect("job slot poisoned").take();
-                    // INVARIANT: each index is claimed exactly once.
-                    let out = f(job.expect("job claimed twice"));
+                    let next = queue.lock().expect("job queue poisoned").next();
+                    let Some((k, job)) = next else { break };
+                    let out = f(job);
                     // INVARIANT: as above, poisoning implies a panic.
                     *slots[k].lock().expect("result slot poisoned") = Some(out);
                 })
@@ -601,8 +593,8 @@ where
     slots
         .into_iter()
         .map(|slot| {
-            // INVARIANT: every job index was written before the joins above
-            // returned; None/poison implies a worker panic.
+            // INVARIANT: every job was run before the joins above returned;
+            // None/poison implies a worker panic.
             slot.into_inner()
                 .expect("result slot poisoned")
                 .expect("fan-out worker skipped a job")

@@ -159,7 +159,7 @@ impl KptEstimator {
                 return KptEstimator {
                     n,
                     m,
-                    widths: PilotWidths::new(last_widths),
+                    widths: PilotWidths::new(&last_widths),
                     kpt_at_calibration: kpt.max(1.0),
                     calibration_k: k,
                 };
@@ -168,7 +168,7 @@ impl KptEstimator {
         KptEstimator {
             n,
             m,
-            widths: PilotWidths::new(last_widths),
+            widths: PilotWidths::new(&last_widths),
             kpt_at_calibration: 1.0,
             calibration_k: k,
         }
@@ -215,8 +215,8 @@ struct PilotWidths {
 }
 
 impl PilotWidths {
-    fn new(widths: Vec<u64>) -> Self {
-        let mut distinct = widths.clone();
+    fn new(widths: &[u64]) -> Self {
+        let mut distinct = widths.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
         distinct.shrink_to_fit();
@@ -392,7 +392,7 @@ mod tests {
             let widths: Vec<u64> = (0..rng.random_range(0..3000))
                 .map(|_| rng.random_range(0..(m as u64 + 10)))
                 .collect();
-            let pilot = PilotWidths::new(widths.clone());
+            let pilot = PilotWidths::new(&widths);
             assert_eq!(pilot.len(), widths.len());
             for k in [1, 2, 7, 50, 400] {
                 let per_set: f64 = widths.iter().map(|&w| kappa(w, m, k)).sum();
