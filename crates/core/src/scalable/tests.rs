@@ -529,7 +529,7 @@ fn deterministic_stats(s: &crate::RunStats) -> impl PartialEq + std::fmt::Debug 
 
 #[test]
 fn selection_thread_count_invariance() {
-    // The tentpole guarantee: candidate refresh and window repair fan out
+    // The core guarantee: candidate refresh and window repair fan out
     // across selection workers, but every worker count — including
     // oversubscribed ones — produces bit-identical allocations AND
     // bit-identical deterministic run statistics, for both algorithms and
