@@ -701,18 +701,31 @@ fn caching_matches_refresh_every_round_semantics() {
             ..test_cfg(29)
         };
         let (s_cached, s_forced) = assert_caching_matches_refresh_every_round(&inst, kind, cfg);
+        let what = format!("{} {window:?} {sampling:?}", kind.name());
         // The fast path must actually have engaged for the heap-based
-        // algorithms: fewer heap draws than the forced sequential pattern —
-        // cached proposals skip refreshes, and repairs draw only what a
-        // window lost. A window holding every live node is hit by every
-        // commit (full contention), as is every PageRank proposal (one
-        // shared candidate order), so only their refresh counts coincide.
-        assert!(s_cached.candidate_refreshes <= s_forced.candidate_refreshes);
-        if matches!(kind, AlgorithmKind::TiCsrm | AlgorithmKind::TiCarm) {
+        // algorithms. Candidate caching: a window smaller than the live
+        // pool survives most commits, so the ad skips refreshes the forced
+        // sequential pattern makes. A window holding every live node is hit
+        // by every commit (full contention), as is every PageRank proposal
+        // (one shared candidate order), so only their refresh counts may
+        // coincide.
+        let heap_based = matches!(kind, AlgorithmKind::TiCsrm | AlgorithmKind::TiCarm);
+        if heap_based && window != Window::Size(1000) {
+            assert!(
+                s_cached.candidate_refreshes < s_forced.candidate_refreshes,
+                "{what}: candidate caching never engaged ({} vs {} refreshes)",
+                s_cached.candidate_refreshes,
+                s_forced.candidate_refreshes
+            );
+        } else {
+            assert!(s_cached.candidate_refreshes <= s_forced.candidate_refreshes);
+        }
+        // Window repair: every heap-based arm, the full-contention one
+        // included, draws only what a window lost instead of redrawing it.
+        if heap_based {
             assert!(
                 s_cached.candidate_evaluations < s_forced.candidate_evaluations,
-                "{} {window:?} {sampling:?}: caching never engaged ({} vs {} evaluations)",
-                kind.name(),
+                "{what}: window repair never engaged ({} vs {} evaluations)",
                 s_cached.candidate_evaluations,
                 s_forced.candidate_evaluations
             );

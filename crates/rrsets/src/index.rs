@@ -813,15 +813,6 @@ impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
-
-    /// [`Ord::cmp`]'s `Greater`, branch-free: window merges compare long
-    /// runs of near-tied keys, where a branchy comparison mispredicts. The
-    /// negated `<` is deliberate: incomparable keys fall through to the
-    /// node order, as in `cmp`.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn gt(&self, other: &Self) -> bool {
-        (self.key > other.key) | (!(self.key < other.key) & (self.node < other.node))
-    }
 }
 
 impl LazyGreedyHeap {

@@ -77,7 +77,7 @@ pub struct KptEstimator {
     n: usize,
     m: usize,
     /// Widths of the pilot sample accepted by the estimation loop.
-    widths: PilotWidths,
+    widths: Vec<u64>,
     /// KPT* for the `k` used during estimation.
     kpt_at_calibration: f64,
     /// `k` used during estimation.
@@ -121,7 +121,7 @@ impl KptEstimator {
             return KptEstimator {
                 n,
                 m,
-                widths: PilotWidths::default(),
+                widths: Vec::new(),
                 kpt_at_calibration: 1.0,
                 calibration_k: k,
             };
@@ -159,7 +159,7 @@ impl KptEstimator {
                 return KptEstimator {
                     n,
                     m,
-                    widths: PilotWidths::new(&last_widths),
+                    widths: last_widths,
                     kpt_at_calibration: kpt.max(1.0),
                     calibration_k: k,
                 };
@@ -168,7 +168,7 @@ impl KptEstimator {
         KptEstimator {
             n,
             m,
-            widths: PilotWidths::new(&last_widths),
+            widths: last_widths,
             kpt_at_calibration: 1.0,
             calibration_k: k,
         }
@@ -182,7 +182,7 @@ impl KptEstimator {
         if self.widths.is_empty() || self.m == 0 {
             return k as f64;
         }
-        let sum = self.widths.kappa_sum(self.m, k);
+        let sum: f64 = self.widths.iter().map(|&w| kappa(w, self.m, k)).sum();
         let kpt = self.n as f64 * (sum / self.widths.len() as f64) / 2.0;
         kpt.max(k as f64)
     }
@@ -199,50 +199,6 @@ impl KptEstimator {
     /// `rm_rrsets::opim`); both strategies therefore share one KPT pilot.
     pub fn theta_for(&self, n: usize, s: usize, cfg: &TimConfig) -> usize {
         sample_size(n, s, cfg, self.opt_lower_bound(s))
-    }
-}
-
-/// Cached pilot widths, stored for re-evaluating `Σ_R κ_k(R)` at any `k`:
-/// the distinct widths once, plus each set's index into them in draw order.
-/// Engines re-evaluate the bound at every latent-size update, and a pilot
-/// holds tens of thousands of sets over a few hundred distinct widths.
-#[derive(Clone, Debug, Default)]
-struct PilotWidths {
-    /// Distinct widths, ascending.
-    distinct: Vec<u64>,
-    /// Per pilot set, in draw order: its width's index in `distinct`.
-    ids: Vec<u32>,
-}
-
-impl PilotWidths {
-    fn new(widths: &[u64]) -> Self {
-        let mut distinct = widths.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        distinct.shrink_to_fit();
-        // INVARIANT: every width is in `distinct`, and a pilot holds far
-        // fewer than 2^32 sets.
-        let ids = widths
-            .iter()
-            .map(|w| distinct.binary_search(w).expect("width is distinct") as u32)
-            .collect();
-        PilotWidths { distinct, ids }
-    }
-
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// `Σ_R κ_k(R)` over the pilot. κ is evaluated once per distinct width
-    /// and the terms are summed per set in draw order — bit-identical to
-    /// summing `kappa(width)` set by set.
-    fn kappa_sum(&self, m: usize, k: usize) -> f64 {
-        let terms: Vec<f64> = self.distinct.iter().map(|&w| kappa(w, m, k)).collect();
-        self.ids.iter().map(|&i| terms[i as usize]).sum()
     }
 }
 
@@ -381,23 +337,5 @@ mod tests {
         let probs = rm_diffusion::AdProbs::from_vec(vec![]);
         let est = KptEstimator::estimate(&g, &probs, 3, &TimConfig::default(), 1);
         assert_eq!(est.opt_lower_bound(3), 3.0);
-    }
-
-    #[test]
-    fn pilot_kappa_sum_is_bit_identical_to_the_per_set_sum() {
-        use rand::Rng;
-        let mut rng = SmallRng::seed_from_u64(3);
-        for _ in 0..50 {
-            let m = rng.random_range(1..5000usize);
-            let widths: Vec<u64> = (0..rng.random_range(0..3000))
-                .map(|_| rng.random_range(0..(m as u64 + 10)))
-                .collect();
-            let pilot = PilotWidths::new(&widths);
-            assert_eq!(pilot.len(), widths.len());
-            for k in [1, 2, 7, 50, 400] {
-                let per_set: f64 = widths.iter().map(|&w| kappa(w, m, k)).sum();
-                assert_eq!(pilot.kappa_sum(m, k).to_bits(), per_set.to_bits());
-            }
-        }
     }
 }
