@@ -373,14 +373,6 @@ impl<'a> EngineCtx<'a> {
                 gain as f64,
                 residual_ub,
             );
-            if std::env::var("RM_OPIM_DEBUG").is_ok() {
-                eprintln!(
-                    "[opim] ad {} θ={} s={} |S|={} k={} gain={} achieved={} res_ub={:.0} lb={:.0} ub={:.0} ratio={:.3} target={:.3}",
-                    st.idx, st.theta, s, st.seeds.len(), k, gain, achieved, residual_ub,
-                    check.gain_lower, check.residual_upper,
-                    check.gain_lower / check.residual_upper, op.rule.target(),
-                );
-            }
             if check.satisfied {
                 return grew;
             }
@@ -602,21 +594,20 @@ where
         .collect()
 }
 
-/// Terminal Table-3 accounting for one ad: compacts the live indexes — sets
-/// covered by seeds committed since the last growth batch still hold
-/// storage — and returns the ad's resident RR bytes. Each component is
-/// counted exactly once: the selection index, the ad's sampling tables, and
-/// (OnlineBounds) the validation index. Cross-ad state is excluded — the
-/// shared TIC per-topic table and the shared RR pool's arenas are each
-/// added once per run by the caller, never per ad. Retained raw set arenas
-/// (`sel_sets`/`val_sets`) are resident-service working state, not part of
-/// the paper's Table-3 footprint, and are excluded.
-pub(crate) fn terminal_ad_bytes(st: &mut AdState) -> usize {
-    st.cov.compact();
-    let mut bytes = st.cov.memory_bytes() + st.sampler.memory_bytes();
-    if let Some(op) = st.opim.as_mut() {
-        op.val_cov.compact();
-        bytes += op.val_cov.memory_bytes();
+/// Terminal Table-3 accounting for one ad: the resident RR bytes its
+/// indexes would hold once compacted, read without rebuilding anything
+/// (sets covered by seeds committed since the last growth batch still hold
+/// storage, but are not counted). Each component is counted exactly once:
+/// the selection index, the ad's sampling tables, and (OnlineBounds) the
+/// validation index. Cross-ad state is excluded — the shared TIC per-topic
+/// table and the shared RR pool's arenas are each added once per run by
+/// the caller, never per ad. Retained raw set arenas (`sel_sets`/`val_sets`)
+/// are resident-service working state, not part of the paper's Table-3
+/// footprint, and are excluded.
+pub(crate) fn terminal_ad_bytes(st: &AdState) -> usize {
+    let mut bytes = st.cov.compacted_memory_bytes() + st.sampler.memory_bytes();
+    if let Some(op) = &st.opim {
+        bytes += op.val_cov.compacted_memory_bytes();
     }
     bytes
 }

@@ -611,10 +611,11 @@ impl<'a> ResidentEngine<'a> {
         // TIC samplers share one per-topic table across all h ads; count it
         // once (the max, in case some ads carry no table) rather than per ad.
         let mut shared_table_bytes = 0usize;
-        // Terminal compaction is independent per ad: fan it out like
-        // `init_ads`, capped at the core count, and sum in ad order.
-        let mut ads: Vec<AdState> = ads.into_iter().flatten().collect();
-        let jobs: Vec<&mut AdState> = ads.iter_mut().collect();
+        // Terminal accounting reads each ad's indexes once, independently:
+        // fan it out like `init_ads`, capped at the core count, and sum in
+        // ad order.
+        let ads: Vec<AdState> = ads.into_iter().flatten().collect();
+        let jobs: Vec<&AdState> = ads.iter().collect();
         let workers = available_cores().min(jobs.len());
         let ad_bytes = par_map_ordered(jobs, workers, terminal_ad_bytes);
         for (st, bytes) in ads.into_iter().zip(ad_bytes) {

@@ -1029,7 +1029,9 @@ fn terminal_memory_counts_each_component_exactly_once() {
     // per-ad tally must be the sum of the compacted selection index, the
     // prepared sampler tables, and — under OnlineBounds — the compacted
     // validation index, each appearing exactly once. Built by hand so the
-    // expected sum is computable from the components themselves.
+    // expected sum is computable from the components themselves. Both
+    // indexes hold covered and tombstoned sets that no rebuild has dropped
+    // yet, so the tally must count the compact form, not the storage.
     use super::ad_state::OpimAdState;
     use super::epoch::terminal_ad_bytes;
     use rm_rrsets::{
@@ -1044,12 +1046,26 @@ fn terminal_memory_counts_each_component_exactly_once() {
     let kpt = KptEstimator::estimate_with_sampler(g, &sampler, 1, &tim, 7);
     let theta = 500usize;
     let no_seeds = vec![false; n];
+    // The best-covered node of `cov`, skipping `not`.
+    let top = |cov: &RrCoverage, not: Option<u32>| {
+        (0..n as u32)
+            .filter(|&v| Some(v) != not)
+            .max_by_key(|&v| cov.coverage(v))
+            .expect("non-empty graph")
+    };
     let mut cov = RrCoverage::new(n);
     let (sets, _) = sampler.sample_batch(g, theta, 11, 0);
     cov.add_batch(&sets, &no_seeds);
+    let seed = top(&cov, None);
+    assert!(cov.cover_with(seed) > 0, "the seed covers nothing");
+    assert!(cov.tombstone_containing(top(&cov, Some(seed))) > 0);
     let mut val_cov = RrCoverage::new(n);
     let (val_sets, _) = sampler.sample_batch(g, theta, 13, 0);
     val_cov.add_batch(&val_sets, &no_seeds);
+    val_cov.cover_with(seed);
+    assert!(val_cov.tombstone_containing(top(&val_cov, Some(seed))) > 0);
+    let mut is_seed = vec![false; n];
+    is_seed[seed as usize] = true;
     let mut st = super::ad_state::AdState {
         idx: 0,
         sampler,
@@ -1057,8 +1073,8 @@ fn terminal_memory_counts_each_component_exactly_once() {
         theta,
         s_latent: 1,
         kpt,
-        seeds: Vec::new(),
-        is_seed: vec![false; n],
+        seeds: vec![seed],
+        is_seed,
         cost_total: 0.0,
         heap: LazyGreedyHeap::default(),
         window: Vec::new(),
@@ -1079,30 +1095,37 @@ fn terminal_memory_counts_each_component_exactly_once() {
         sel_sets: RrArena::new(),
         val_sets: RrArena::new(),
     };
-    let with_val = terminal_ad_bytes(&mut st);
-    // `terminal_ad_bytes` compacted both indexes; re-reading the components
-    // now must reproduce its sum exactly — nothing dropped, nothing doubled.
+    let compacted = |cov: &RrCoverage| {
+        let mut cov = cov.clone();
+        cov.compact();
+        cov.memory_bytes()
+    };
+    let sel_bytes = compacted(&st.cov);
+    assert!(
+        sel_bytes < st.cov.memory_bytes(),
+        "covered and tombstoned sets should still hold storage"
+    );
+    let with_val = terminal_ad_bytes(&st);
+    // Nothing dropped, nothing doubled, and no stale storage counted.
     let op = st.opim.as_ref().expect("opim state still present");
-    let val_bytes = op.val_cov.memory_bytes();
-    let expected = st.cov.memory_bytes() + st.sampler.memory_bytes() + val_bytes;
+    let val_bytes = compacted(&op.val_cov);
+    assert!(val_bytes < op.val_cov.memory_bytes());
     assert_eq!(
-        with_val, expected,
-        "terminal tally is not the component sum"
+        with_val,
+        sel_bytes + st.sampler.memory_bytes() + val_bytes,
+        "terminal tally is not the compacted component sum"
     );
     assert!(val_bytes > 0, "validation index reported as empty");
     // Dropping the validation state must remove exactly its bytes: the
     // regression this guards is double-counting (or omitting) val_cov.
     st.opim = None;
-    let without_val = terminal_ad_bytes(&mut st);
+    let without_val = terminal_ad_bytes(&st);
     assert_eq!(
         with_val - without_val,
         val_bytes,
         "validation index not counted exactly once"
     );
-    assert_eq!(
-        without_val,
-        st.cov.memory_bytes() + st.sampler.memory_bytes()
-    );
+    assert_eq!(without_val, sel_bytes + st.sampler.memory_bytes());
 }
 
 #[test]

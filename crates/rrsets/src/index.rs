@@ -10,7 +10,9 @@
 //! * `add_batch(..)` — grow the sample after a latent-size update; new sets
 //!   already hit by an existing seed are recorded as covered on arrival,
 //!   which is Algorithm 3's `UpdateEstimates` in incremental form;
-//! * `memory_bytes()` — byte accounting behind the paper's Table 3.
+//! * `compacted_memory_bytes()` — byte accounting behind the paper's
+//!   Table 3: the live sample's compact footprint, counted without a
+//!   rebuild.
 //!
 //! Everything is flat: sets arrive in an [`RrArena`] and are stored as CSR
 //! arrays, and the node → set-ids inverted index is a byte-compressed CSR
@@ -23,6 +25,12 @@
 //! *compact*: sets covered by committed seeds are dropped from both
 //! directions (their contribution lives on in `covered_total`), so resident
 //! memory tracks the live sample instead of everything ever ingested.
+//!
+//! Each ingest writes every live entry once: a batch that triggers a
+//! rebuild goes straight from the arena into the rebuilt exact-capacity
+//! arrays, after the surviving live sets, and only a batch too small to
+//! fold lands in the pending tail. Sets a committed seed already covers are
+//! never written.
 
 // INVARIANT(indexing): all computed indices in this file are bounded by
 // construction — node ids come from the owning CsrGraph (< num_nodes) and
@@ -225,12 +233,13 @@ impl RrCoverage {
     /// the seed set's spread estimate stays consistent with the enlarged
     /// sample. Returns how many of the new sets arrived covered.
     ///
-    /// New uncovered sets append to the forward storage as a *pending* tail
-    /// in amortized `O(batch entries)`; a compacting counting-sort rebuild
-    /// (`O(n + live entries)`) folds the tail into the inverted CSR only
-    /// once it outgrows an eighth of the indexed entries — or once covered
-    /// sets are worth reclaiming — so a run of tiny growth batches stays
-    /// linear overall.
+    /// A batch whose live entries outgrow an eighth of the indexed entries —
+    /// or that arrives once covered sets are worth reclaiming — triggers a
+    /// compacting counting-sort rebuild (`O(n + live entries)`) and is
+    /// written straight into the rebuilt arrays; a smaller one appends to
+    /// the forward storage as a *pending* tail in amortized
+    /// `O(batch entries)`, so a run of tiny growth batches stays linear
+    /// overall. An all-false `is_seed` skips the per-set seed scan.
     pub fn add_batch(&mut self, sets: &RrArena, is_seed: &[bool]) -> usize {
         self.add_range_impl(sets, 0, sets.len(), is_seed, None)
     }
@@ -276,85 +285,107 @@ impl RrCoverage {
         assert_eq!(is_seed.len(), self.n, "seed mask must cover every node");
         // INVARIANT: API contract — the range must address the arena.
         assert!(lo <= hi && hi <= sets.len(), "range out of arena bounds");
+        let mut batch = Batch::new(sets, lo, hi, weights);
+        // Classify before writing anything. With no seed committed (every
+        // initial ingest and arrival) every set is live and the arena's
+        // offsets already give the sizes; otherwise one scan flags the sets
+        // a seed covers on arrival.
         let mut arrived_covered = 0;
-        // INVARIANT: entry counts are capped far below u32::MAX by the
-        // sample-size valve; overflow indicates a sizing bug, not data.
-        let to_u32 = |len: usize| u32::try_from(len).expect("coverage index exceeds u32 entries");
-        for i in lo..hi {
-            let set = sets.get(i);
-            let w = weights.map_or(1.0f32, |ws| ws[i - lo]);
-            if set.iter().any(|&u| is_seed[u as usize]) {
-                // Covered on arrival: contributes to `covered_total` and θ,
-                // occupies no storage.
-                self.covered_total += 1;
-                if self.weighted {
-                    self.covered_weight += f64::from(w);
-                }
-                arrived_covered += 1;
-            } else {
-                for &u in set {
-                    self.cov[u as usize] += 1;
-                }
-                if self.weighted {
-                    let wf = f64::from(w);
-                    for &u in set {
-                        self.wcov[u as usize] += wf;
+        if is_seed.contains(&true) {
+            let mut live = Vec::with_capacity(hi - lo);
+            for i in lo..hi {
+                let set = sets.get(i);
+                let hit = set.iter().any(|&u| is_seed[u as usize]);
+                if hit {
+                    // Covered on arrival: contributes to `covered_total`
+                    // and θ, occupies no storage.
+                    self.covered_total += 1;
+                    if self.weighted {
+                        self.covered_weight += f64::from(batch.weight(i));
                     }
-                    self.weights.push(w);
+                    arrived_covered += 1;
+                    batch.count -= 1;
+                    batch.entries -= set.len();
                 }
-                self.set_nodes.extend_from_slice(set);
-                self.set_offsets.push(to_u32(self.set_nodes.len()));
-                self.covered.push(false);
+                live.push(!hit);
             }
+            batch.live = Some(live);
         }
         self.total_sets += hi - lo;
 
         let indexed_entries = self.set_offsets[self.indexed_sets] as usize;
-        let pending_entries = self.set_nodes.len() - indexed_entries;
+        let pending_entries = self.set_nodes.len() - indexed_entries + batch.entries;
         let needs_fold = pending_entries * 8 >= indexed_entries + 1024;
-        let needs_compaction = self.covered_live * 4 >= self.covered.len().max(1);
+        let needs_compaction = self.covered_live * 4 >= (self.covered.len() + batch.count).max(1);
         if needs_fold || needs_compaction {
-            self.rebuild();
+            self.rebuild(&batch);
+        } else {
+            self.append(&batch);
         }
         arrived_covered
     }
 
-    /// Compacting counting-sort rebuild: drops covered sets from the forward
-    /// storage (renumbering survivors into exact-capacity arrays; the
-    /// transient old+new overlap is the rebuild's high-water), then rebuilds
-    /// the inverted CSR over every live set. Counting sort visits set ids in
-    /// ascending order per node, so each list is stored as LEB128 deltas
-    /// (first id absolute, then the gaps).
-    fn rebuild(&mut self) {
-        let live_entries: usize = self.cov.iter().map(|&c| c as usize).sum();
-        let old_offsets = std::mem::take(&mut self.set_offsets);
-        let old_nodes = std::mem::take(&mut self.set_nodes);
-        let old_covered = std::mem::take(&mut self.covered);
-        let old_weights = std::mem::take(&mut self.weights);
+    /// Appends the batch's live sets to the pending tail.
+    fn append(&mut self, batch: &Batch) {
+        // INVARIANT: entry counts are capped far below u32::MAX by the
+        // sample-size valve; overflow indicates a sizing bug, not data.
+        let to_u32 = |len: usize| u32::try_from(len).expect("coverage index exceeds u32 entries");
+        batch.for_each_live(|set, w| {
+            for &u in set {
+                self.cov[u as usize] += 1;
+            }
+            if self.weighted {
+                let wf = f64::from(w);
+                for &u in set {
+                    self.wcov[u as usize] += wf;
+                }
+                self.weights.push(w);
+            }
+            self.set_nodes.extend_from_slice(set);
+            self.set_offsets.push(to_u32(self.set_nodes.len()));
+            self.covered.push(false);
+        });
+    }
+
+    /// Compacting counting-sort rebuild: writes the surviving live sets and
+    /// then `batch`'s live sets, renumbered in that order, into
+    /// exact-capacity forward arrays (the transient old+new overlap is the
+    /// rebuild's high-water), then rebuilds the inverted CSR over every
+    /// live set. Each batch entry is written once, straight from the arena.
+    /// Counting sort visits set ids in ascending order per node, so each
+    /// list is stored as LEB128 deltas (first id absolute, then the gaps).
+    fn rebuild(&mut self, batch: &Batch) {
+        let live_entries = self.cov.iter().map(|&c| c as usize).sum::<usize>() + batch.entries;
+        let live_count = self.covered.len() - self.covered_live + batch.count;
         let mut nodes: Vec<NodeId> = Vec::with_capacity(live_entries);
-        let mut offsets: Vec<u32> = Vec::with_capacity(old_covered.len() - self.covered_live + 1);
+        let mut offsets: Vec<u32> = Vec::with_capacity(live_count + 1);
         let mut weights: Vec<f32> = if self.weighted {
-            Vec::with_capacity(old_covered.len() - self.covered_live)
+            Vec::with_capacity(live_count)
         } else {
             Vec::new()
         };
         offsets.push(0);
-        // INVARIANT: compaction only shrinks; see add_batch's cap argument.
+        // INVARIANT: same u32 sizing cap as `append`.
         let to_u32 = |len: usize| u32::try_from(len).expect("coverage index exceeds u32 entries");
-        for sid in 0..old_covered.len() {
-            if old_covered[sid] {
-                continue;
-            }
+        for sid in (0..self.covered.len()).filter(|&sid| !self.covered[sid]) {
             nodes.extend_from_slice(
-                &old_nodes[old_offsets[sid] as usize..old_offsets[sid + 1] as usize],
+                &self.set_nodes[self.set_offsets[sid] as usize..self.set_offsets[sid + 1] as usize],
             );
             offsets.push(to_u32(nodes.len()));
             if self.weighted {
-                weights.push(old_weights[sid]);
+                weights.push(self.weights[sid]);
             }
         }
-        drop(old_nodes);
-        let live_count = offsets.len() - 1;
+        batch.for_each_live(|set, w| {
+            for &u in set {
+                self.cov[u as usize] += 1;
+            }
+            nodes.extend_from_slice(set);
+            offsets.push(to_u32(nodes.len()));
+            if self.weighted {
+                weights.push(w);
+            }
+        });
         self.set_offsets = offsets;
         self.set_nodes = nodes;
         self.covered = vec![false; live_count];
@@ -565,15 +596,14 @@ impl RrCoverage {
     /// its live size, so [`Self::memory_bytes`] afterwards reports exactly
     /// the live sample's footprint.
     ///
-    /// `add_batch` is the only path that rebuilds, so without this the
-    /// capacity-based accounting goes stale at run end: sets covered by
+    /// Ingest is the only path that rebuilds on its own: sets covered by
     /// seeds committed *after* the last growth batch keep their forward and
-    /// inverted storage, and the pending tail's `Vec`-doubling slack is
-    /// never returned. The engine compacts each ad's index at termination
-    /// so Table 3 reports the post-compaction footprint, not that stale
-    /// pre-compaction capacity.
+    /// inverted storage, and the pending tail's `Vec`-doubling slack stays
+    /// allocated. The engine reports Table 3 through
+    /// [`Self::compacted_memory_bytes`], which counts this method's result
+    /// without building it; `compact` remains as that count's test oracle.
     pub fn compact(&mut self) {
-        self.rebuild();
+        self.rebuild(&Batch::new(&RrArena::new(), 0, 0, None));
         // The rebuild writes exact-capacity arrays; trimming is belt and
         // braces for the offset vectors it reuses.
         self.set_offsets.shrink_to_fit();
@@ -584,11 +614,43 @@ impl RrCoverage {
         self.weights.shrink_to_fit();
     }
 
+    /// Exactly what [`Self::memory_bytes`] would report after
+    /// [`Self::compact`], counted in one read pass over the live sets
+    /// without rebuilding anything: the live entries and set offsets, the
+    /// varint lengths of the inverted lists the renumbered live sets would
+    /// produce, and the per-node arrays, which compaction leaves alone.
+    /// This is the index's Table-3 footprint.
+    pub fn compacted_memory_bytes(&self) -> usize {
+        // Live sets are renumbered `0..` in storage order; `prev[u]` is the
+        // last new id listed for node `u`, as in the rebuild's sizing pass.
+        let mut prev = vec![0u32; self.n];
+        let (mut live, mut entries, mut inv_bytes) = (0u32, 0usize, 0usize);
+        for sid in (0..self.covered.len()).filter(|&sid| !self.covered[sid]) {
+            let set =
+                &self.set_nodes[self.set_offsets[sid] as usize..self.set_offsets[sid + 1] as usize];
+            for &u in set {
+                inv_bytes += varint_len(live - prev[u as usize]) as usize;
+                prev[u as usize] = live;
+            }
+            entries += set.len();
+            live += 1;
+        }
+        let live = live as usize;
+        4 * entries
+            + 4 * (live + 1)
+            + 4 * (self.n + 1)
+            + inv_bytes
+            + 4 * self.cov.capacity()
+            + live
+            + if self.weighted { 4 * live } else { 0 }
+            + 8 * self.wcov.capacity()
+    }
+
     /// Resident bytes of the index: flattened sets, the inverted CSR, and
     /// per-node/per-set bookkeeping. Capacity-based — this is what the
-    /// allocator actually holds, and what Table 3 reports (the engine
-    /// [compacts](Self::compact) at termination so the report reflects the
-    /// live sample).
+    /// allocator actually holds right now, including covered sets and
+    /// pending-tail slack that the next rebuild would drop. Table 3 reports
+    /// the compact form instead ([`Self::compacted_memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
         4 * self.set_nodes.capacity()
             + 4 * self.set_offsets.capacity()
@@ -761,6 +823,52 @@ impl RrCoverage {
     /// their tie-breaking cannot diverge.
     pub fn greedy_max_coverage(&self, k: usize) -> Vec<NodeId> {
         self.greedy_extension(k, 0, |_| false).picks
+    }
+}
+
+/// The sets one ingest stores: arena sets `lo..hi`, minus those a committed
+/// seed covers on arrival.
+struct Batch<'a> {
+    sets: &'a RrArena,
+    lo: usize,
+    hi: usize,
+    /// `live[i - lo]` is false iff a seed covers set `i` on arrival; `None`
+    /// when every set is live.
+    live: Option<Vec<bool>>,
+    /// Per-set importance weights (`None`: every set weighs 1).
+    weights: Option<&'a [f32]>,
+    /// Live sets in the batch.
+    count: usize,
+    /// Members of the live sets.
+    entries: usize,
+}
+
+impl<'a> Batch<'a> {
+    /// Every set of `lo..hi` live.
+    fn new(sets: &'a RrArena, lo: usize, hi: usize, weights: Option<&'a [f32]>) -> Self {
+        Batch {
+            sets,
+            lo,
+            hi,
+            live: None,
+            weights,
+            count: hi - lo,
+            entries: (sets.offsets[hi] - sets.offsets[lo]) as usize,
+        }
+    }
+
+    /// Weight of arena set `i`.
+    fn weight(&self, i: usize) -> f32 {
+        self.weights.map_or(1.0, |ws| ws[i - self.lo])
+    }
+
+    /// Calls `f(set, weight)` on every live set, in arena order.
+    fn for_each_live(&self, mut f: impl FnMut(&[NodeId], f32)) {
+        for i in self.lo..self.hi {
+            if self.live.as_ref().is_none_or(|live| live[i - self.lo]) {
+                f(self.sets.get(i), self.weight(i));
+            }
+        }
     }
 }
 
@@ -1174,7 +1282,9 @@ mod tests {
         // No add_batch after the cover: the stale capacity still holds
         // every covered set.
         assert_eq!(idx.memory_bytes(), before);
+        let counted = idx.compacted_memory_bytes();
         idx.compact();
+        assert_eq!(idx.memory_bytes(), counted, "counted without a rebuild");
         assert!(
             idx.memory_bytes() < before / 2,
             "terminal compaction should reclaim covered sets: {} vs {before}",

@@ -1,8 +1,11 @@
-//! Property test: the arena-backed [`RrCoverage`] is behaviorally identical
+//! Property tests: the arena-backed [`RrCoverage`] is behaviorally identical
 //! to a naive `Vec<Vec<NodeId>>` reference model under random interleavings
-//! of `add_batch` / `cover_with` / `coverage` / `max_coverage`.
+//! of `add_batch` / `cover_with` / `coverage` / `max_coverage`, and its
+//! Table-3 count `compacted_memory_bytes` is exactly what `compact` leaves
+//! behind, at every step of seeded ingest / cover / tombstone scripts.
 
 use proptest::prelude::*;
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 use rm_graph::NodeId;
 use rm_rrsets::{RrArena, RrCoverage};
 
@@ -52,6 +55,18 @@ impl NaiveCoverage {
             }
         }
         newly
+    }
+
+    fn tombstone_containing(&mut self, v: NodeId) -> usize {
+        let before = self.sets.len();
+        let (sets, covered): (Vec<_>, Vec<_>) = std::mem::take(&mut self.sets)
+            .into_iter()
+            .zip(std::mem::take(&mut self.covered))
+            .filter(|(set, cov)| *cov || !set.contains(&v))
+            .unzip();
+        self.sets = sets;
+        self.covered = covered;
+        before - self.sets.len()
     }
 
     fn covered_total(&self) -> usize {
@@ -156,6 +171,107 @@ proptest! {
         prop_assert_eq!(idx.covered_total(), model.covered_total());
         for v in 0..n as NodeId {
             prop_assert_eq!(idx.coverage(v), model.coverage(v));
+        }
+    }
+}
+
+/// `sets` random sets over `0..n`, each of 1–4 distinct members.
+fn random_arena(rng: &mut SmallRng, n: usize, sets: usize) -> RrArena {
+    (0..sets)
+        .map(|_| {
+            let mut set: Vec<NodeId> = Vec::new();
+            for _ in 0..rng.random_range(1..5) {
+                let u = rng.random_range(0..n as NodeId);
+                if !set.contains(&u) {
+                    set.push(u);
+                }
+            }
+            set
+        })
+        .collect()
+}
+
+/// `compacted_memory_bytes()` against its oracle: compact a clone and read
+/// its capacity-based `memory_bytes()`.
+fn check_compacted_bytes(idx: &RrCoverage, step: usize) -> Result<(), TestCaseError> {
+    let mut oracle = idx.clone();
+    oracle.compact();
+    prop_assert_eq!(
+        idx.compacted_memory_bytes(),
+        oracle.memory_bytes(),
+        "step {}: compacted bytes differ from compact()",
+        step
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(120))]
+    #[test]
+    fn compacted_bytes_match_compact_at_every_step(
+        n in 2usize..40,
+        seed in any::<u64>(),
+        steps in 1usize..60,
+    ) {
+        // One script drives an unweighted and a weighted index side by
+        // side. Batches are small (pending tail) or large (folded into a
+        // rebuild); ingests pass the committed seeds or an all-false mask.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut plain = RrCoverage::new(n);
+        let mut weighted = RrCoverage::new_weighted(n);
+        let mut model = NaiveCoverage::new(n);
+        let mut is_seed = vec![false; n];
+        let no_seeds = vec![false; n];
+        for step in 0..steps {
+            match rng.random_range(0..4u32) {
+                0 | 1 => {
+                    let len = if rng.random_bool(0.3) {
+                        rng.random_range(40..300)
+                    } else {
+                        rng.random_range(1..6)
+                    };
+                    let arena = random_arena(&mut rng, n, len);
+                    // add_batch, or add_range over a sub-range of the arena.
+                    let (lo, hi) = if rng.random_bool(0.5) {
+                        (0, len)
+                    } else {
+                        let lo = rng.random_range(0..len);
+                        (lo, rng.random_range(lo..=len))
+                    };
+                    let mask = if rng.random_bool(0.3) { &no_seeds } else { &is_seed };
+                    let arrived = if lo == 0 && hi == len && rng.random_bool(0.5) {
+                        plain.add_batch(&arena, mask)
+                    } else {
+                        plain.add_range(&arena, lo, hi, mask)
+                    };
+                    let w: Vec<f32> = (lo..hi).map(|_| rng.random_range(1..8u32) as f32 / 4.0).collect();
+                    let arrived_w = weighted.add_range_weighted(&arena, lo, hi, mask, &w);
+                    let batch: Vec<Vec<NodeId>> = (lo..hi).map(|i| arena.get(i).to_vec()).collect();
+                    prop_assert_eq!(arrived, model.add_batch(&batch, mask));
+                    prop_assert_eq!(arrived_w, arrived);
+                }
+                2 => {
+                    let v = rng.random_range(0..n as NodeId);
+                    let newly = plain.cover_with(v);
+                    prop_assert_eq!(newly, model.cover_with(v), "cover_with({})", v);
+                    prop_assert_eq!(weighted.cover_with(v), newly);
+                    is_seed[v as usize] = true;
+                }
+                _ => {
+                    let v = rng.random_range(0..n as NodeId);
+                    let dropped = plain.tombstone_containing(v);
+                    prop_assert_eq!(dropped, model.tombstone_containing(v), "tombstone({})", v);
+                    prop_assert_eq!(weighted.tombstone_containing(v), dropped);
+                }
+            }
+            check_compacted_bytes(&plain, step)?;
+            check_compacted_bytes(&weighted, step)?;
+            prop_assert_eq!(plain.num_sets(), model.sets.len());
+            prop_assert_eq!(plain.covered_total(), model.covered_total());
+            for v in 0..n as NodeId {
+                prop_assert_eq!(plain.coverage(v), model.coverage(v), "coverage({})", v);
+                prop_assert_eq!(weighted.coverage(v), plain.coverage(v));
+            }
         }
     }
 }
