@@ -10,7 +10,7 @@ fn setup(n: usize, m: usize, theta: usize) -> (usize, RrArena) {
     let mut rng = SmallRng::seed_from_u64(3);
     let g = generators::chung_lu_directed(n, m, 2.3, &mut rng);
     let probs = TicModel::weighted_cascade(&g).ad_probs(&TopicDistribution::uniform(1));
-    let (sets, _) = rm_rrsets::sample_rr_batch(&g, &probs, theta, 11, 0);
+    let (sets, _) = rm_rrsets::PreparedSampler::new(&g, &probs).sample_batch(&g, theta, 11, 0);
     (n, sets)
 }
 

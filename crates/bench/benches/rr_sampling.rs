@@ -19,7 +19,12 @@ fn bench_rr_sampling(c: &mut Criterion) {
             let mut round = 0u64;
             b.iter(|| {
                 round += 1;
-                rm_rrsets::sample_rr_batch(g, &probs, batch, 7, round * batch as u64)
+                rm_rrsets::PreparedSampler::new(g, &probs).sample_batch(
+                    g,
+                    batch,
+                    7,
+                    round * batch as u64,
+                )
             });
         });
     }

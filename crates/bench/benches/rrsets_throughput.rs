@@ -36,7 +36,12 @@ fn bench_rrsets_throughput(c: &mut Criterion) {
         let mut round = 0u64;
         b.iter(|| {
             round += 1;
-            rm_rrsets::sample_rr_batch(&g, &probs, BATCH, 7, round * BATCH as u64)
+            rm_rrsets::PreparedSampler::new(&g, &probs).sample_batch(
+                &g,
+                BATCH,
+                7,
+                round * BATCH as u64,
+            )
         });
     });
 
@@ -48,7 +53,12 @@ fn bench_rrsets_throughput(c: &mut Criterion) {
         let mut round = 0u64;
         b.iter(|| {
             round += 1;
-            rm_rrsets::sample_rr_batch_model(&g, &lt, BATCH, 7, round * BATCH as u64)
+            rm_rrsets::PreparedSampler::for_model(&g, &lt).sample_batch(
+                &g,
+                BATCH,
+                7,
+                round * BATCH as u64,
+            )
         });
     });
 
@@ -67,11 +77,16 @@ fn bench_rrsets_throughput(c: &mut Criterion) {
         let mut round = 0u64;
         b.iter(|| {
             round += 1;
-            rm_rrsets::sample_rr_batch_model(&g, &tic_model, BATCH, 7, round * BATCH as u64)
+            rm_rrsets::PreparedSampler::for_model(&g, &tic_model).sample_batch(
+                &g,
+                BATCH,
+                7,
+                round * BATCH as u64,
+            )
         });
     });
 
-    let (sets, _) = rm_rrsets::sample_rr_batch(&g, &probs, BATCH, 11, 0);
+    let (sets, _) = rm_rrsets::PreparedSampler::new(&g, &probs).sample_batch(&g, BATCH, 11, 0);
     group.bench_function("coverage_ingest_50k", |b| {
         let mask = vec![false; N];
         b.iter(|| {

@@ -12,8 +12,9 @@ fn bench_growth(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(13);
     let g = generators::chung_lu_directed(n, 80_000, 2.3, &mut rng);
     let probs = TicModel::weighted_cascade(&g).ad_probs(&TopicDistribution::uniform(1));
-    let (initial, _) = rm_rrsets::sample_rr_batch(&g, &probs, 50_000, 1, 0);
-    let (growth, _) = rm_rrsets::sample_rr_batch(&g, &probs, 50_000, 1, 50_000);
+    let sampler = rm_rrsets::PreparedSampler::new(&g, &probs);
+    let (initial, _) = sampler.sample_batch(&g, 50_000, 1, 0);
+    let (growth, _) = sampler.sample_batch(&g, 50_000, 1, 50_000);
 
     // Base index with 10 committed seeds.
     let mut base = RrCoverage::new(n);

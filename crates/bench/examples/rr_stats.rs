@@ -23,7 +23,12 @@ fn main() {
     let mut total_nodes = 0usize;
     for round in 0..5u64 {
         let t0 = std::time::Instant::now();
-        let (sets, _) = rm_rrsets::sample_rr_batch(&g, &probs, batch, 7, round * batch as u64);
+        let (sets, _) = rm_rrsets::PreparedSampler::new(&g, &probs).sample_batch(
+            &g,
+            batch,
+            7,
+            round * batch as u64,
+        );
         best = best.min(t0.elapsed());
         total_nodes = sets.iter().map(|s| s.len()).sum();
     }

@@ -159,19 +159,13 @@ pub fn table2(opts: Opts) {
 /// Figure 1: the Theorem 2 tightness gadget, solved exactly.
 pub fn fig1(_opts: Opts) {
     use rm_core::instances::tightness_instance;
-    use rm_core::oracle::{ExactOracle, SpreadOracle};
 
     let (inst, _) = tightness_instance();
     let mut t = Table::new("fig1_tightness", &["quantity", "value"]);
 
-    let mut oracle = ExactOracle::new(&inst.graph, &inst.ad_probs);
-    let ca = rm_core::exact_ca_greedy(&inst, &mut oracle);
-    let ca_rev = ExactOracle::new(&inst.graph, &inst.ad_probs).spread(0, &ca.seeds[0]);
-    let mut oracle = ExactOracle::new(&inst.graph, &inst.ad_probs);
-    let cs = rm_core::exact_cs_greedy(&inst, &mut oracle);
-    let cs_rev = ExactOracle::new(&inst.graph, &inst.ad_probs).spread(0, &cs.seeds[0]);
-
     let p = inst.to_exact_problem();
+    let ca_rev = p.total_revenue(&rm_submod::ca_greedy(&p).0);
+    let cs_rev = p.total_revenue(&rm_submod::cs_greedy(&p).0);
     let (_, opt) = rm_submod::exact::brute_force_optimum(&p);
     let (r, big_r) = rm_submod::exact::independence_ranks(&p);
     let kappa = p.pi_curvature();

@@ -94,10 +94,6 @@ fn strip_columns(csv: &str, drop: &[&str]) -> String {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "runs the full quick scalability sweep twice; exercised in the release statistical CI job"
-)]
 fn fig5_table3_quick_match_pinned_goldens_modulo_volatile_columns() {
     let _artifacts = FIG5_ARTIFACTS.lock().unwrap_or_else(|e| e.into_inner());
     // A tiny but engine-exercising scale: 8 TiEngine runs across two
@@ -140,10 +136,6 @@ fn fig5_table3_quick_match_pinned_goldens_modulo_volatile_columns() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "runs the quick TIC quality sweep twice; exercised in the release statistical CI job"
-)]
 fn tic_quality_quick_matches_pinned_goldens_modulo_volatile_columns() {
     // The lazy-mixing TIC artifact gate: `tic-quality --quick --scale
     // 0.005` must reproduce its pinned revenue/seeding-cost CSVs exactly
@@ -180,10 +172,6 @@ fn tic_quality_quick_matches_pinned_goldens_modulo_volatile_columns() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "runs the full quick scalability sweep twice; exercised in the release statistical CI job"
-)]
 fn fig5_table3_parallel_selection_matches_sequential_goldens() {
     let _artifacts = FIG5_ARTIFACTS.lock().unwrap_or_else(|e| e.into_inner());
     // The parallel-selection acceptance gate: `selection_threads > 1` (and

@@ -73,46 +73,45 @@ pub fn tightness_instance() -> (RmInstance, Fig1Nodes) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::{exact_ca_greedy, exact_cs_greedy};
-    use crate::oracle::{ExactOracle, SpreadOracle};
+    use rm_submod::{ca_greedy, cs_greedy, BitSet};
 
     #[test]
     fn gadget_spreads_match_figure() {
         let (inst, nodes) = tightness_instance();
-        let mut o = ExactOracle::new(&inst.graph, &inst.ad_probs);
-        assert_eq!(o.spread(0, &[nodes.b]), 3.0);
-        assert_eq!(o.spread(0, &[nodes.a]), 3.0);
-        assert_eq!(o.spread(0, &[nodes.c]), 3.0);
-        assert_eq!(o.spread(0, &[nodes.a, nodes.c]), 6.0);
+        let p = inst.to_exact_problem();
+        // cpe = 1, so an ad's revenue is its exact spread.
+        let spread = |seeds: &[NodeId]| {
+            p.revenue_of(0, &BitSet::from_iter(7, seeds.iter().map(|&u| u as usize)))
+        };
+        assert_eq!(spread(&[nodes.b]), 3.0);
+        assert_eq!(spread(&[nodes.a]), 3.0);
+        assert_eq!(spread(&[nodes.c]), 3.0);
+        assert_eq!(spread(&[nodes.a, nodes.c]), 6.0);
     }
 
     #[test]
     fn ca_greedy_earns_half_of_optimum() {
         let (inst, nodes) = tightness_instance();
-        let mut o = ExactOracle::new(&inst.graph, &inst.ad_probs);
-        let alloc = exact_ca_greedy(&inst, &mut o);
-        assert_eq!(alloc.seeds[0], vec![nodes.b], "CA must tie-break onto b");
-        let revenue = {
-            let mut o = ExactOracle::new(&inst.graph, &inst.ad_probs);
-            o.spread(0, &alloc.seeds[0])
-        };
-        assert_eq!(revenue, 3.0);
+        let p = inst.to_exact_problem();
+        let (alloc, _) = ca_greedy(&p);
+        assert_eq!(
+            alloc.seed_sets[0],
+            vec![nodes.b as usize],
+            "CA must tie-break onto b"
+        );
+        assert_eq!(p.total_revenue(&alloc), 3.0);
     }
 
     #[test]
     fn cs_greedy_recovers_the_optimum() {
         // Footnote 9: CS-GREEDY obtains the optimal solution {a, c} here.
         let (inst, nodes) = tightness_instance();
-        let mut o = ExactOracle::new(&inst.graph, &inst.ad_probs);
-        let alloc = exact_cs_greedy(&inst, &mut o);
-        let mut s = alloc.seeds[0].clone();
+        let p = inst.to_exact_problem();
+        let (alloc, _) = cs_greedy(&p);
+        let mut s = alloc.seed_sets[0].clone();
         s.sort_unstable();
-        assert_eq!(s, vec![nodes.a, nodes.c]);
-        let revenue = {
-            let mut o = ExactOracle::new(&inst.graph, &inst.ad_probs);
-            o.spread(0, &alloc.seeds[0])
-        };
-        assert_eq!(revenue, 6.0);
+        assert_eq!(s, vec![nodes.a as usize, nodes.c as usize]);
+        assert_eq!(p.total_revenue(&alloc), 6.0);
     }
 
     #[test]

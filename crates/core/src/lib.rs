@@ -5,9 +5,10 @@
 //! * **Problem model** (§2): advertisers with CPE pricing and budgets
 //!   ([`advertiser`]), incentive schedules priced from topical singleton
 //!   spreads ([`incentives`]), and the full instance type ([`instance`]).
-//! * **Exact reference algorithms** (§3): CA-GREEDY and CS-GREEDY over a
-//!   pluggable spread oracle ([`oracle`], [`greedy`]) — Monte-Carlo or exact
-//!   world-enumeration backed, usable on small graphs and gadgets.
+//! * **Exact reference algorithms** (§3): [`RmInstance::to_exact_problem`]
+//!   tabulates each ad's revenue by exact world enumeration, so
+//!   `rm_submod::{ca_greedy, cs_greedy}` (Algorithm 1) solve small graphs
+//!   and gadgets exactly.
 //! * **Scalable algorithms** (§4): TI-CARM and TI-CSRM ([`scalable`]) —
 //!   RR-set sampling, TIM sample sizes, latent seed-set-size estimation
 //!   (Eq. 10), windowed cost-sensitive selection, and Algorithm 3's
@@ -20,26 +21,20 @@
 
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod advertiser;
 pub mod allocation;
 pub mod baselines;
-pub mod greedy;
 pub mod incentives;
 pub mod instance;
 pub mod instances;
 pub mod metrics;
-pub mod oracle;
 pub mod scalable;
 
-pub use adaptive::{run_adaptive_campaign, AdaptiveConfig, AdaptiveOutcome};
 pub use advertiser::Advertiser;
 pub use allocation::{evaluate_allocation, EvalMethod, EvalReport, SeedAllocation};
-pub use greedy::{exact_ca_greedy, exact_cs_greedy};
 pub use incentives::{IncentiveModel, IncentiveSchedule, SingletonMethod};
 pub use instance::RmInstance;
 pub use metrics::RunStats;
-pub use oracle::{ExactOracle, McOracle, SpreadOracle};
 pub use scalable::{
     AlgorithmKind, GraphDelta, ResidentEngine, ResidentError, SamplingStrategy, ScalableConfig,
     ScalableConfigError, ServeEvent, ServeOp, TiEngine, Window,

@@ -29,8 +29,9 @@
 // construction — ad ids are validated against `ads.len()` at every public
 // entry point before use, node ids come from `NodeId`s of the engine's own
 // instance (whose node count is pinned across deltas by the
-// `InstanceMismatch` check), and per-ad vectors are sized to the instance at
-// build time.
+// `InstanceMismatch` check) or from a caller's `GraphDelta` (validated
+// against that count by the `NodeOutOfRange` check), and per-ad vectors
+// are sized to the instance at build time.
 
 use std::sync::Arc;
 
@@ -134,6 +135,8 @@ pub enum ResidentError {
     /// The post-delta instance changed node or ad count; deltas repair
     /// state in place and cannot renumber it.
     InstanceMismatch,
+    /// A graph-delta edge endpoint at or past the instance's node count.
+    NodeOutOfRange(NodeId),
     /// Graph deltas need retained RR sets; the batch wrapper runs with
     /// retention off.
     SetsNotRetained,
@@ -150,6 +153,7 @@ impl std::fmt::Display for ResidentError {
             ResidentError::InstanceMismatch => {
                 write!(f, "post-delta instance must keep node and ad counts")
             }
+            ResidentError::NodeOutOfRange(v) => write!(f, "delta node {v} out of range"),
             ResidentError::SetsNotRetained => {
                 write!(f, "graph deltas require retained RR sets (resident mode)")
             }
@@ -357,6 +361,12 @@ impl<'a> ResidentEngine<'a> {
         }
         if !self.ctx.retain_sets {
             return Err(ResidentError::SetsNotRetained);
+        }
+        if let Some(v) = (delta.inserts.iter().chain(&delta.removes))
+            .flat_map(|&(u, v)| [u, v])
+            .find(|&v| v as usize >= n)
+        {
+            return Err(ResidentError::NodeOutOfRange(v));
         }
         let changed = delta.changed_targets(n);
         self.ctx.inst = InstHandle::Owned(new_inst);

@@ -1495,6 +1495,35 @@ fn resident_rejects_invalid_operations_with_typed_errors() {
     // A failed operation must leave no trace in the event log.
     assert_eq!(eng.events().len(), 1);
 
+    // Delta endpoints past the node count are refused before the instance
+    // swap, leaving the engine untouched and still serving.
+    let (events, alloc, stats) = (eng.events().to_vec(), eng.allocation(), eng.stats().clone());
+    for delta in [
+        GraphDelta {
+            inserts: vec![(0, 200)],
+            removes: Vec::new(),
+        },
+        GraphDelta {
+            inserts: Vec::new(),
+            removes: vec![(200, 1)],
+        },
+    ] {
+        assert_eq!(
+            eng.apply_graph_delta(Arc::clone(&inst), &delta)
+                .unwrap_err(),
+            ResidentError::NodeOutOfRange(200)
+        );
+        assert_eq!(eng.events(), &events[..]);
+        assert_eq!(eng.allocation(), alloc);
+        assert_eq!(eng.stats(), &stats);
+    }
+    let valid = GraphDelta {
+        inserts: vec![(0, 199)],
+        removes: Vec::new(),
+    };
+    assert!(eng.apply_graph_delta(Arc::clone(&inst), &valid).is_ok());
+    assert_eq!(eng.events().len(), 2);
+
     let mismatched = Arc::new(wc_instance(200, 3, 40.0, 0.2, 5));
     assert_eq!(
         eng.apply_graph_delta(mismatched, &GraphDelta::default())

@@ -94,6 +94,12 @@ mod tests {
         let probs = AdProbs::from_vec(vec![0.5, 0.25]);
         let exact = exact_spread_enumeration(&g, &probs, &[0]);
         assert!((exact - (1.0 + 0.5 + 0.5 * 0.25)).abs() < 1e-12);
+        // p = 0.5 on both arcs: σ({0}) = 1.75 and σ({0, 2}) = 2 + P(1
+        // active) = 2.5, so node 2's marginal given {0} is 0.75.
+        let probs = AdProbs::from_vec(vec![0.5, 0.5]);
+        let s0 = exact_spread_enumeration(&g, &probs, &[0]);
+        assert!((s0 - 1.75).abs() < 1e-12);
+        assert!((exact_spread_enumeration(&g, &probs, &[0, 2]) - s0 - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -42,7 +42,6 @@
 
 pub mod arena;
 pub mod estimator;
-pub mod im;
 pub mod index;
 pub mod opim;
 pub mod pool;
@@ -50,15 +49,9 @@ pub mod sampler;
 pub mod tim;
 
 pub use arena::RrArena;
-pub use estimator::{
-    rr_estimate_spread, rr_estimate_spread_model, rr_singleton_spreads, rr_singleton_spreads_model,
-};
-pub use im::{tim_influence_maximization, ImResult};
+pub use estimator::{rr_estimate_spread_model, rr_singleton_spreads_model};
 pub use index::{GreedyExtension, LazyGreedyHeap, RrCoverage};
 pub use opim::{BoundCheck, StoppingRule};
 pub use pool::{SharedRrPool, TenantMode};
-pub use sampler::{
-    sample_rr_batch, sample_rr_batch_model, sample_rr_set, stream_seed, PreparedSampler,
-    RrWorkspace,
-};
+pub use sampler::{sample_rr_set, stream_seed, PreparedSampler, RrWorkspace};
 pub use tim::{log_choose, sample_size, KptEstimator, TimConfig};

@@ -882,7 +882,7 @@ const STEAL_BLOCK: usize = 1024;
 /// geometric-skip parameters; LT gathers per-node Walker alias tables.
 /// Callers that grow a sample incrementally — the engine adds batches every
 /// latent-size update — should prepare once and reuse, instead of paying
-/// the `O(n + m)` gather per [`sample_rr_batch`] call.
+/// the `O(n + m)` gather per batch.
 pub struct PreparedSampler {
     tables: Tables,
     thread_cap: usize,
@@ -1200,42 +1200,6 @@ impl PreparedSampler {
     }
 }
 
-/// One-shot convenience over [`PreparedSampler`]: gathers the sampling
-/// tables and samples `count` RR sets. See [`PreparedSampler::sample_batch`]
-/// for the semantics.
-pub fn sample_rr_batch(
-    g: &CsrGraph,
-    probs: &AdProbs,
-    count: usize,
-    seed: u64,
-    first_index: u64,
-) -> (RrArena, Vec<u64>) {
-    if count == 0 || g.num_nodes() == 0 {
-        let mut arena = RrArena::new();
-        arena.push_empty_sets(count);
-        return (arena, vec![0u64; count]);
-    }
-    PreparedSampler::new(g, probs).sample_batch(g, count, seed, first_index)
-}
-
-/// Model-generic one-shot batch sampling: gathers the tables for `model`
-/// (IC or LT) and samples `count` RR sets. See
-/// [`PreparedSampler::sample_batch`] for the semantics.
-pub fn sample_rr_batch_model(
-    g: &CsrGraph,
-    model: &DiffusionModel,
-    count: usize,
-    seed: u64,
-    first_index: u64,
-) -> (RrArena, Vec<u64>) {
-    if count == 0 || g.num_nodes() == 0 {
-        let mut arena = RrArena::new();
-        arena.push_empty_sets(count);
-        return (arena, vec![0u64; count]);
-    }
-    PreparedSampler::for_model(g, model).sample_batch(g, count, seed, first_index)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1298,7 +1262,7 @@ mod tests {
         // its width is the member in-degree sum — independent of the RNG.
         let g = chain();
         let probs = AdProbs::from_vec(vec![1.0; 3]);
-        let (arena, widths) = sample_rr_batch(&g, &probs, 200, 3, 0);
+        let (arena, widths) = PreparedSampler::new(&g, &probs).sample_batch(&g, 200, 3, 0);
         assert_eq!(arena.len(), 200);
         for (set, &w) in arena.iter().zip(&widths) {
             let t = set[0];
@@ -1340,7 +1304,7 @@ mod tests {
         let mut s = PreparedSampler::new(&g, &probs);
         s.set_thread_count(7);
         let (a, wa) = s.sample_batch(&g, 100, 9, 0);
-        let (b, wb) = sample_rr_batch(&g, &probs, 100, 9, 0);
+        let (b, wb) = PreparedSampler::new(&g, &probs).sample_batch(&g, 100, 9, 0);
         assert_eq!(a, b);
         assert_eq!(wa, wb);
     }
@@ -1351,7 +1315,7 @@ mod tests {
         let probs = AdProbs::from_vec(vec![0.5; 3]);
         let prepared = PreparedSampler::new(&g, &probs);
         let (a, wa) = prepared.sample_batch(&g, 60, 21, 0);
-        let (b, wb) = sample_rr_batch(&g, &probs, 60, 21, 0);
+        let (b, wb) = PreparedSampler::new(&g, &probs).sample_batch(&g, 60, 21, 0);
         assert_eq!(a, b);
         assert_eq!(wa, wb);
     }
@@ -1360,13 +1324,13 @@ mod tests {
     fn batch_deterministic_and_indexed() {
         let g = chain();
         let probs = AdProbs::from_vec(vec![0.5; 3]);
-        let (a, wa) = sample_rr_batch(&g, &probs, 100, 9, 0);
-        let (b, wb) = sample_rr_batch(&g, &probs, 100, 9, 0);
+        let (a, wa) = PreparedSampler::new(&g, &probs).sample_batch(&g, 100, 9, 0);
+        let (b, wb) = PreparedSampler::new(&g, &probs).sample_batch(&g, 100, 9, 0);
         assert_eq!(a, b);
         assert_eq!(wa, wb);
         // Growing a sample continues the same logical sequence.
-        let (full, _) = sample_rr_batch(&g, &probs, 150, 9, 0);
-        let (tail, _) = sample_rr_batch(&g, &probs, 50, 9, 100);
+        let (full, _) = PreparedSampler::new(&g, &probs).sample_batch(&g, 150, 9, 0);
+        let (tail, _) = PreparedSampler::new(&g, &probs).sample_batch(&g, 50, 9, 100);
         assert!(full.iter().skip(100).eq(tail.iter()));
     }
 
@@ -1408,7 +1372,7 @@ mod tests {
         let g = graph_from_edges(21, &edges);
         let probs = AdProbs::from_vec(vec![0.5; 20]);
         let theta = 60_000;
-        let (sets, _) = sample_rr_batch(&g, &probs, theta, 13, 0);
+        let (sets, _) = PreparedSampler::new(&g, &probs).sample_batch(&g, theta, 13, 0);
         let count0 = sets.iter().filter(|s| s.contains(&0)).count();
         let est = 21.0 * count0 as f64 / theta as f64;
         assert!((est - 1.5).abs() < 0.05, "σ({{leaf}}) est {est}, want 1.5");
@@ -1433,7 +1397,7 @@ mod tests {
         // member in-degree sum.
         let g = chain();
         let model = DiffusionModel::lt(&g, AdProbs::from_vec(vec![1.0; 3]));
-        let (arena, widths) = sample_rr_batch_model(&g, &model, 200, 3, 0);
+        let (arena, widths) = PreparedSampler::for_model(&g, &model).sample_batch(&g, 200, 3, 0);
         assert_eq!(arena.len(), 200);
         for (set, &w) in arena.iter().zip(&widths) {
             let t = set[0];
@@ -1448,13 +1412,13 @@ mod tests {
     fn lt_batch_deterministic_and_indexed() {
         let g = chain();
         let model = DiffusionModel::lt(&g, AdProbs::from_vec(vec![0.5; 3]));
-        let (a, wa) = sample_rr_batch_model(&g, &model, 100, 9, 0);
-        let (b, wb) = sample_rr_batch_model(&g, &model, 100, 9, 0);
+        let (a, wa) = PreparedSampler::for_model(&g, &model).sample_batch(&g, 100, 9, 0);
+        let (b, wb) = PreparedSampler::for_model(&g, &model).sample_batch(&g, 100, 9, 0);
         assert_eq!(a, b);
         assert_eq!(wa, wb);
         // Growing a sample continues the same logical sequence.
-        let (full, _) = sample_rr_batch_model(&g, &model, 150, 9, 0);
-        let (tail, _) = sample_rr_batch_model(&g, &model, 50, 9, 100);
+        let (full, _) = PreparedSampler::for_model(&g, &model).sample_batch(&g, 150, 9, 0);
+        let (tail, _) = PreparedSampler::for_model(&g, &model).sample_batch(&g, 50, 9, 100);
         assert!(full.iter().skip(100).eq(tail.iter()));
         // Thread-cap independence: capped at 1 worker, same arena.
         let mut capped = PreparedSampler::for_model(&g, &model);
@@ -1472,7 +1436,7 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 2), (1, 2)]);
         let model = DiffusionModel::lt(&g, AdProbs::from_vec(vec![0.5, 0.5]));
         let theta = 60_000;
-        let (sets, _) = sample_rr_batch_model(&g, &model, theta, 17, 0);
+        let (sets, _) = PreparedSampler::for_model(&g, &model).sample_batch(&g, theta, 17, 0);
         let count0 = sets.iter().filter(|s| s.contains(&0)).count();
         let est = 3.0 * count0 as f64 / theta as f64;
         assert!((est - 1.5).abs() < 0.03, "σ({{0}}) est {est}, want 1.5");
@@ -1488,7 +1452,7 @@ mod tests {
             .map(|leaf| if leaf % 2 == 0 { 0.1 } else { 0.0 })
             .collect();
         let model = DiffusionModel::lt(&g, AdProbs::from_vec(w));
-        let (sets, _) = sample_rr_batch_model(&g, &model, 20_000, 23, 0);
+        let (sets, _) = PreparedSampler::for_model(&g, &model).sample_batch(&g, 20_000, 23, 0);
         for set in sets.iter() {
             for &v in &set[1..] {
                 if v < 20 {
@@ -1515,8 +1479,8 @@ mod tests {
                 .map(|e| tic.topic_prob(e, z))
                 .collect();
             let ic_model = DiffusionModel::ic(AdProbs::from_vec(flat));
-            let (a, wa) = sample_rr_batch_model(&g, &tic_model, 400, 7, 0);
-            let (b, wb) = sample_rr_batch_model(&g, &ic_model, 400, 7, 0);
+            let (a, wa) = PreparedSampler::for_model(&g, &tic_model).sample_batch(&g, 400, 7, 0);
+            let (b, wb) = PreparedSampler::for_model(&g, &ic_model).sample_batch(&g, 400, 7, 0);
             assert_eq!(a, b, "topic {z}: arenas differ");
             assert_eq!(wa, wb);
         }
@@ -1565,13 +1529,13 @@ mod tests {
         let probs: Vec<f32> = (0..g.num_edges()).flat_map(|_| [0.7, 0.2]).collect();
         let tic = std::sync::Arc::new(TicModel::from_matrix(&g, 2, probs));
         let model = DiffusionModel::tic(tic, TopicDistribution::new(&[0.4, 0.6]));
-        let (a, wa) = sample_rr_batch_model(&g, &model, 100, 9, 0);
-        let (b, wb) = sample_rr_batch_model(&g, &model, 100, 9, 0);
+        let (a, wa) = PreparedSampler::for_model(&g, &model).sample_batch(&g, 100, 9, 0);
+        let (b, wb) = PreparedSampler::for_model(&g, &model).sample_batch(&g, 100, 9, 0);
         assert_eq!(a, b);
         assert_eq!(wa, wb);
         // Growing a sample continues the same logical sequence.
-        let (full, _) = sample_rr_batch_model(&g, &model, 150, 9, 0);
-        let (tail, _) = sample_rr_batch_model(&g, &model, 50, 9, 100);
+        let (full, _) = PreparedSampler::for_model(&g, &model).sample_batch(&g, 150, 9, 0);
+        let (tail, _) = PreparedSampler::for_model(&g, &model).sample_batch(&g, 50, 9, 100);
         assert!(full.iter().skip(100).eq(tail.iter()));
         // Thread-cap independence: capped at 1 worker, same arena.
         let mut capped = PreparedSampler::for_model(&g, &model);
@@ -1794,7 +1758,7 @@ mod tests {
         let g = chain();
         let probs = AdProbs::from_vec(vec![1.0; 3]);
         let theta = 20_000;
-        let (sets, _) = sample_rr_batch(&g, &probs, theta, 11, 0);
+        let (sets, _) = PreparedSampler::new(&g, &probs).sample_batch(&g, theta, 11, 0);
         let count0 = sets.iter().filter(|s| s.contains(&0)).count();
         let est = 4.0 * count0 as f64 / theta as f64;
         assert!((est - 4.0).abs() < 0.05, "est {est}");

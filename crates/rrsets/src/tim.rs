@@ -13,7 +13,6 @@
 //! caches the widths of its pilot RR sets so the bound can be re-evaluated
 //! for any `s` without fresh sampling.
 
-use rm_diffusion::{AdProbs, DiffusionModel};
 use rm_graph::CsrGraph;
 
 use crate::sampler::PreparedSampler;
@@ -85,28 +84,13 @@ pub struct KptEstimator {
 }
 
 impl KptEstimator {
-    /// Runs the estimation loop for seed-set size `k`. Deterministic in
-    /// `seed`. Graphs with no edges yield the trivial bound.
-    pub fn estimate(g: &CsrGraph, probs: &AdProbs, k: usize, cfg: &TimConfig, seed: u64) -> Self {
-        Self::estimate_with_sampler(g, &PreparedSampler::new(g, probs), k, cfg, seed)
-    }
-
-    /// [`Self::estimate`] under an arbitrary diffusion model (the pilot RR
-    /// sets — and hence the cached widths — come from that model's sampler;
-    /// the width convention, member in-degree sum, is model-independent).
-    pub fn estimate_model(
-        g: &CsrGraph,
-        model: &DiffusionModel,
-        k: usize,
-        cfg: &TimConfig,
-        seed: u64,
-    ) -> Self {
-        Self::estimate_with_sampler(g, &PreparedSampler::for_model(g, model), k, cfg, seed)
-    }
-
-    /// [`Self::estimate`] over already-prepared sampling tables, so a caller
-    /// that also samples with them (the engine's per-ad initialization) pays
-    /// the `O(n + m)` gather once.
+    /// Runs the estimation loop for seed-set size `k` over already-prepared
+    /// sampling tables, so a caller that also samples with them (the
+    /// engine's per-ad initialization) pays the `O(n + m)` gather once. The
+    /// pilot RR sets — and hence the cached widths — come from the sampler's
+    /// diffusion model; the width convention, member in-degree sum, is
+    /// model-independent. Deterministic in `seed`. Graphs with no edges
+    /// yield the trivial bound.
     pub fn estimate_with_sampler(
         g: &CsrGraph,
         sampler: &PreparedSampler,
@@ -215,6 +199,16 @@ mod tests {
     use rm_graph::builder::graph_from_edges;
     use rm_graph::generators;
 
+    fn estimate(
+        g: &CsrGraph,
+        probs: &rm_diffusion::AdProbs,
+        k: usize,
+        cfg: &TimConfig,
+        seed: u64,
+    ) -> KptEstimator {
+        KptEstimator::estimate_with_sampler(g, &PreparedSampler::new(g, probs), k, cfg, seed)
+    }
+
     #[test]
     fn log_choose_small_values() {
         // C(5,2) = 10.
@@ -271,7 +265,7 @@ mod tests {
             epsilon: 0.2,
             ..Default::default()
         };
-        let est = KptEstimator::estimate(&g, &probs, 1, &cfg, 5);
+        let est = estimate(&g, &probs, 1, &cfg, 5);
         let bound = est.opt_lower_bound(1);
         // Ground truth: best singleton spread via MC.
         let sing = rm_diffusion::singleton_spreads_mc(&g, &probs, 400, 9);
@@ -291,7 +285,7 @@ mod tests {
             epsilon: 0.3,
             ..Default::default()
         };
-        let est = KptEstimator::estimate(&g, &probs, 1, &cfg, 3);
+        let est = estimate(&g, &probs, 1, &cfg, 3);
         let b1 = est.opt_lower_bound(1);
         let b5 = est.opt_lower_bound(5);
         let b20 = est.opt_lower_bound(20);
@@ -307,7 +301,7 @@ mod tests {
             let edges: Vec<_> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
             let g = graph_from_edges(n, &edges);
             let probs = rm_diffusion::AdProbs::from_vec(vec![1.0; g.num_edges()]);
-            let est = KptEstimator::estimate(&g, &probs, 1, &TimConfig::default(), 7);
+            let est = estimate(&g, &probs, 1, &TimConfig::default(), 7);
             assert!(
                 est.widths.len() >= 64,
                 "n={n}: pilot of only {} sets",
@@ -327,7 +321,7 @@ mod tests {
             max_sets_per_ad: 10,
             ..Default::default()
         };
-        let est = KptEstimator::estimate(&g, &probs, 1, &cfg, 7);
+        let est = estimate(&g, &probs, 1, &cfg, 7);
         assert!(est.widths.len() <= 10, "{} sets", est.widths.len());
     }
 
@@ -335,7 +329,7 @@ mod tests {
     fn empty_graph_safe() {
         let g = graph_from_edges(5, &[]);
         let probs = rm_diffusion::AdProbs::from_vec(vec![]);
-        let est = KptEstimator::estimate(&g, &probs, 3, &TimConfig::default(), 1);
+        let est = estimate(&g, &probs, 3, &TimConfig::default(), 1);
         assert_eq!(est.opt_lower_bound(3), 3.0);
     }
 }

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rm_diffusion::{lt_weights_feasible, normalize_lt_weights, AdProbs, DiffusionModel};
 use rm_graph::builder::graph_from_edges;
 use rm_graph::{CsrGraph, NodeId};
-use rm_rrsets::sample_rr_batch_model;
+use rm_rrsets::PreparedSampler;
 
 /// Builds a small random graph from an edge-chooser vector: entry `k`
 /// encodes the candidate pair `(k / n, k % n)`, self-loops dropped,
@@ -75,7 +75,7 @@ proptest! {
                 .collect(),
         );
         let model = DiffusionModel::lt(&g, weights);
-        let (sets, _) = sample_rr_batch_model(&g, &model, 256, seed, 0);
+        let (sets, _) = PreparedSampler::for_model(&g, &model).sample_batch(&g, 256, seed, 0);
         for set in sets.iter() {
             for pair in set.windows(2) {
                 let (v, u) = (pair[0], pair[1]);

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use rm_diffusion::{AdProbs, DiffusionModel, TicModel, TopicDistribution};
 use rm_graph::builder::graph_from_edges;
 use rm_graph::{CsrGraph, NodeId};
-use rm_rrsets::sample_rr_batch_model;
+use rm_rrsets::PreparedSampler;
 
 /// Builds a small random graph from an edge-chooser vector: entry `k`
 /// encodes the candidate pair `(k / n, k % n)`, self-loops dropped,
@@ -92,8 +92,8 @@ proptest! {
         );
         let tic_model = DiffusionModel::tic(Arc::clone(&tic), TopicDistribution::delta(l, z));
         let ic_model = DiffusionModel::ic(column);
-        let (tic_sets, _) = sample_rr_batch_model(&g, &tic_model, 128, seed, 0);
-        let (ic_sets, _) = sample_rr_batch_model(&g, &ic_model, 128, seed, 0);
+        let (tic_sets, _) = PreparedSampler::for_model(&g, &tic_model).sample_batch(&g, 128, seed, 0);
+        let (ic_sets, _) = PreparedSampler::for_model(&g, &ic_model).sample_batch(&g, 128, seed, 0);
         prop_assert_eq!(tic_sets.len(), ic_sets.len());
         for (a, b) in tic_sets.iter().zip(ic_sets.iter()) {
             prop_assert_eq!(a, b, "delta-TIC and flat-IC RR sets diverged");
@@ -134,7 +134,7 @@ proptest! {
             (0..l).any(|z| gamma.weight(z) > 0.0 && tic.topic_prob(eid, z) > 0.0)
         };
         let model = DiffusionModel::tic(Arc::clone(&tic), gamma.clone());
-        let (sets, _) = sample_rr_batch_model(&g, &model, 256, seed, 0);
+        let (sets, _) = PreparedSampler::for_model(&g, &model).sample_batch(&g, 256, seed, 0);
         for set in sets.iter() {
             for (k, &u) in set.iter().enumerate().skip(1) {
                 let reachable = g.out_edges(u).any(|(eid, v)| {

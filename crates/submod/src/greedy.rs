@@ -180,6 +180,81 @@ mod tests {
         assert_eq!(alloc.seed_sets[0].len(), 3);
     }
 
+    /// Revenue at cpe 1 on a graph whose arcs all have probability 1: the
+    /// spread of `S` is the number of nodes reachable from it, so
+    /// `reach[u]` lists the nodes `u` reaches (itself included).
+    fn deterministic_spread(reach: &[&[u32]]) -> RevenueFn {
+        let covers = reach.iter().map(|r| r.to_vec()).collect();
+        Box::new(CoverageFunction::unit(covers, reach.len()))
+    }
+
+    /// Chain 0→1→2→3, one ad, incentives `0.5 · σ({u})` = [2, 1.5, 1, 0.5].
+    fn chain(budget: f64) -> RmProblem {
+        let revenue = vec![deterministic_spread(&[
+            &[0, 1, 2, 3],
+            &[1, 2, 3],
+            &[2, 3],
+            &[3],
+        ])];
+        RmProblem::new(revenue, vec![vec![2.0, 1.5, 1.0, 0.5]], vec![budget])
+    }
+
+    #[test]
+    fn ca_takes_the_source_on_a_chain() {
+        let (alloc, _) = ca_greedy(&chain(7.0));
+        // After seeding node 0 (ρ = 4 + 2 = 6), Algorithm 1 keeps scanning
+        // and can still afford node 2 at zero marginal revenue (ρ = 7 ≤ 7).
+        assert_eq!(alloc.seed_sets[0], vec![0, 2]);
+    }
+
+    #[test]
+    fn budget_zero_headroom_blocks_everything_but_cheapest() {
+        // Budget 1.5 only affords node 3 (ρ = 1 + 0.5).
+        let (alloc, _) = ca_greedy(&chain(1.5));
+        assert_eq!(alloc.seed_sets[0], vec![3]);
+    }
+
+    #[test]
+    fn cs_beats_ca_when_hub_is_overpriced() {
+        // Two disjoint stars: hub 0 → {1,2,3} (spread 4) costs 10, hub
+        // 4 → {5,6} (spread 3) costs 0.5. With budget 15, CA takes hub 0
+        // (ρ = 14) and is left with leaves; CS prefers hub 4's ratio.
+        let revenue = vec![deterministic_spread(&[
+            &[0, 1, 2, 3],
+            &[1],
+            &[2],
+            &[3],
+            &[4, 5, 6],
+            &[5],
+            &[6],
+        ])];
+        let cost = vec![vec![10.0, 0.1, 0.1, 0.1, 0.5, 0.1, 0.1]];
+        let p = RmProblem::new(revenue, cost, vec![15.0]);
+        let (ca, _) = ca_greedy(&p);
+        let (cs, _) = cs_greedy(&p);
+        let (ca_rev, cs_rev) = (p.total_revenue(&ca), p.total_revenue(&cs));
+        assert!(cs_rev >= ca_rev, "CS {cs_rev} < CA {ca_rev}");
+        assert!(
+            !cs.seed_sets[0].contains(&0),
+            "CS took the overpriced hub: {:?}",
+            cs.seed_sets[0]
+        );
+    }
+
+    #[test]
+    fn two_ads_split_the_market() {
+        // Stars 0 → {1,2} and 3 → {4,5}; two identical ads with budget 10
+        // and incentives `0.1 · σ({u})`.
+        let mk = || deterministic_spread(&[&[0, 1, 2], &[1], &[2], &[3, 4, 5], &[4], &[5]]);
+        let cost = vec![0.3, 0.1, 0.1, 0.3, 0.1, 0.1];
+        let p = RmProblem::new(vec![mk(), mk()], vec![cost.clone(), cost], vec![10.0; 2]);
+        let (alloc, _) = ca_greedy(&p);
+        assert!(alloc.is_disjoint());
+        // Both hubs must be seeded.
+        let all = alloc.seed_sets.concat();
+        assert!(all.contains(&0) && all.contains(&3));
+    }
+
     #[test]
     fn terminates_when_nothing_affordable() {
         let revenue: Vec<RevenueFn> = vec![Box::new(ModularFunction::new(vec![1.0, 1.0]))];

@@ -139,8 +139,18 @@ fn tic_delta_mixture_is_bit_identical_to_flat_ic() {
         );
         let tic_model = DiffusionModel::tic(std::sync::Arc::clone(&tic), gamma);
         let ic_model = DiffusionModel::ic(column);
-        let (a, wa) = rrsets::sample_rr_batch_model(&g, &tic_model, 3_000, 700 + z as u64, 0);
-        let (b, wb) = rrsets::sample_rr_batch_model(&g, &ic_model, 3_000, 700 + z as u64, 0);
+        let (a, wa) = rrsets::PreparedSampler::for_model(&g, &tic_model).sample_batch(
+            &g,
+            3_000,
+            700 + z as u64,
+            0,
+        );
+        let (b, wb) = rrsets::PreparedSampler::for_model(&g, &ic_model).sample_batch(
+            &g,
+            3_000,
+            700 + z as u64,
+            0,
+        );
         assert_eq!(a, b, "topic {z}: delta-TIC arena differs from flat IC");
         assert_eq!(wa, wb);
     }
@@ -169,7 +179,8 @@ fn tic_arena_sampler_matches_naive_flattened_frequencies() {
     let n = g.num_nodes();
     let draws = 60_000usize;
 
-    let (arena_sets, _) = rrsets::sample_rr_batch_model(&g, &model, draws, 45, 0);
+    let (arena_sets, _) =
+        rrsets::PreparedSampler::for_model(&g, &model).sample_batch(&g, draws, 45, 0);
     let mut arena_counts = vec![0u64; n];
     for &u in arena_sets.node_slice() {
         arena_counts[u as usize] += 1;
@@ -227,7 +238,8 @@ fn lt_arena_sampler_matches_naive_occurrence_frequencies() {
     let n = g.num_nodes();
     let draws = 60_000usize;
 
-    let (arena_sets, _) = rrsets::sample_rr_batch_model(&g, &model, draws, 35, 0);
+    let (arena_sets, _) =
+        rrsets::PreparedSampler::for_model(&g, &model).sample_batch(&g, draws, 35, 0);
     let mut arena_counts = vec![0u64; n];
     for &u in arena_sets.node_slice() {
         arena_counts[u as usize] += 1;
@@ -327,7 +339,8 @@ fn zero_weight_graph_yields_singletons_under_both_models() {
         DiffusionModel::ic(zero.clone()),
         DiffusionModel::lt(&g, zero.clone()),
     ] {
-        let (sets, widths) = rrsets::sample_rr_batch_model(&g, &model, 500, 5, 0);
+        let (sets, widths) =
+            rrsets::PreparedSampler::for_model(&g, &model).sample_batch(&g, 500, 5, 0);
         assert!(sets.iter().all(|s| s.len() == 1), "{:?}", model.kind());
         // Widths still count in-edges of the (singleton) sets.
         assert!(widths.iter().all(|&w| w <= 1));

@@ -15,10 +15,11 @@ use revmax::rrsets;
 fn three_estimators_agree_on_a_gadget() {
     let g = graph_from_edges(6, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)]);
     let probs = AdProbs::from_vec(vec![0.5, 0.4, 0.6, 0.7, 0.3, 0.8]);
+    let model = diffusion::DiffusionModel::ic(probs.clone());
     for seeds in [vec![0u32], vec![0, 4], vec![2, 5]] {
         let exact = diffusion::world::exact_spread_enumeration(&g, &probs, &seeds);
         let mc = diffusion::estimate_spread(&g, &probs, &seeds, 120_000, 3).spread;
-        let rr = rrsets::rr_estimate_spread(&g, &probs, &seeds, 120_000, 4);
+        let rr = rrsets::rr_estimate_spread_model(&g, &model, &seeds, 120_000, 4);
         assert!(
             (exact - mc).abs() < 0.05,
             "seeds {seeds:?}: exact {exact} mc {mc}"
@@ -36,7 +37,12 @@ fn rr_and_mc_singletons_agree_on_random_graph() {
     let g = generators::erdos_renyi_m(150, 600, true, &mut rng);
     let tic = TicModel::weighted_cascade(&g);
     let probs = tic.ad_probs(&TopicDistribution::uniform(1));
-    let rr = rrsets::rr_singleton_spreads(&g, &probs, 200_000, 5);
+    let rr = rrsets::rr_singleton_spreads_model(
+        &g,
+        &diffusion::DiffusionModel::ic(probs.clone()),
+        200_000,
+        5,
+    );
     let mc = diffusion::singleton_spreads_mc(&g, &probs, 2_000, 6);
     let mut max_rel = 0.0f64;
     for u in 0..g.num_nodes() {

@@ -1,32 +1,27 @@
 //! End-to-end reproduction of the paper's Figure 1 tightness instance,
 //! exercising the whole stack: gadget construction (rm-core), exact spreads
-//! (rm-diffusion), exact greedy (rm-core), combinatorial conversion, brute
-//! force, ranks, curvature and the Theorem 2 bound (rm-submod).
+//! (rm-diffusion), combinatorial conversion, exact greedy, brute force,
+//! ranks, curvature and the Theorem 2 bound (rm-submod).
 
 use revmax::core::instances::tightness_instance;
-use revmax::core::oracle::{ExactOracle, SpreadOracle};
-use revmax::core::{exact_ca_greedy, exact_cs_greedy};
 use revmax::submod;
 
 #[test]
 fn figure1_numbers_reproduce_exactly() {
     let (inst, nodes) = tightness_instance();
+    let p = inst.to_exact_problem();
 
     // CA-GREEDY is trapped at revenue 3 = ½ · OPT.
-    let mut oracle = ExactOracle::new(&inst.graph, &inst.ad_probs);
-    let ca = exact_ca_greedy(&inst, &mut oracle);
-    assert_eq!(ca.seeds[0], vec![nodes.b]);
-    let ca_rev = ExactOracle::new(&inst.graph, &inst.ad_probs).spread(0, &ca.seeds[0]);
+    let (ca, _) = submod::ca_greedy(&p);
+    assert_eq!(ca.seed_sets[0], vec![nodes.b as usize]);
+    let ca_rev = p.total_revenue(&ca);
     assert_eq!(ca_rev, 3.0);
 
     // CS-GREEDY recovers the optimum {a, c} with revenue 6 (footnote 9).
-    let mut oracle = ExactOracle::new(&inst.graph, &inst.ad_probs);
-    let cs = exact_cs_greedy(&inst, &mut oracle);
-    let cs_rev = ExactOracle::new(&inst.graph, &inst.ad_probs).spread(0, &cs.seeds[0]);
-    assert_eq!(cs_rev, 6.0);
+    let (cs, _) = submod::cs_greedy(&p);
+    assert_eq!(p.total_revenue(&cs), 6.0);
 
     // The combinatorial view certifies every quantity in the theorem.
-    let p = inst.to_exact_problem();
     let (_, opt) = submod::exact::brute_force_optimum(&p);
     assert!((opt - 6.0).abs() < 1e-9);
     let (r, big_r) = submod::exact::independence_ranks(&p);

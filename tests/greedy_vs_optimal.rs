@@ -6,8 +6,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
 
-use revmax::core::oracle::ExactOracle;
-use revmax::core::{exact_ca_greedy, exact_cs_greedy, Advertiser, IncentiveSchedule, RmInstance};
+use revmax::core::{Advertiser, IncentiveSchedule, RmInstance};
 use revmax::diffusion::{AdProbs, TopicDistribution};
 use revmax::graph::builder::graph_from_edges;
 use revmax::submod;
@@ -54,16 +53,12 @@ proptest! {
         let inst = random_instance(seed, 1);
         if inst.graph.num_edges() == 0 { return Ok(()); }
         let p = inst.to_exact_problem();
-        let mut oracle = ExactOracle::new(&inst.graph, &inst.ad_probs);
-        let alloc = exact_ca_greedy(&inst, &mut oracle);
-        let sub_alloc = submod::Allocation {
-            seed_sets: alloc.seeds.iter().map(|s| s.iter().map(|&u| u as usize).collect()).collect(),
-        };
-        prop_assert!(p.is_feasible(&sub_alloc), "infeasible greedy output");
+        let (alloc, _) = submod::ca_greedy(&p);
+        prop_assert!(p.is_feasible(&alloc), "infeasible greedy output");
         let (_, opt) = submod::exact::brute_force_optimum(&p);
         if opt > 0.0 {
             let (_, big_r) = submod::exact::independence_ranks(&p);
-            let got = p.total_revenue(&sub_alloc);
+            let got = p.total_revenue(&alloc);
             prop_assert!(
                 got + 1e-6 >= opt / big_r as f64,
                 "CA-GREEDY {got} below the 1/R floor ({opt} / {big_r})"
@@ -76,14 +71,10 @@ proptest! {
     fn cs_greedy_two_ads_feasible(seed in 0u64..500) {
         let inst = random_instance(seed, 2);
         if inst.graph.num_edges() == 0 { return Ok(()); }
-        let mut oracle = ExactOracle::new(&inst.graph, &inst.ad_probs);
-        let alloc = exact_cs_greedy(&inst, &mut oracle);
-        prop_assert!(alloc.is_disjoint());
         let p = inst.to_exact_problem();
-        let sub_alloc = submod::Allocation {
-            seed_sets: alloc.seeds.iter().map(|s| s.iter().map(|&u| u as usize).collect()).collect(),
-        };
-        prop_assert!(p.is_feasible(&sub_alloc));
+        let (alloc, _) = submod::cs_greedy(&p);
+        prop_assert!(alloc.is_disjoint());
+        prop_assert!(p.is_feasible(&alloc));
     }
 
     /// Theorem 3's bound holds for CS-GREEDY on single-ad instances.
@@ -99,12 +90,8 @@ proptest! {
         let (rho_min, rho_max) = p.singleton_payment_range();
         let (_, big_r) = submod::exact::independence_ranks(&p);
         let bound = submod::theorem3_bound(big_r, kappa_rho, rho_max, rho_min);
-        let mut oracle = ExactOracle::new(&inst.graph, &inst.ad_probs);
-        let alloc = exact_cs_greedy(&inst, &mut oracle);
-        let sub_alloc = submod::Allocation {
-            seed_sets: alloc.seeds.iter().map(|s| s.iter().map(|&u| u as usize).collect()).collect(),
-        };
-        let got = p.total_revenue(&sub_alloc);
+        let (alloc, _) = submod::cs_greedy(&p);
+        let got = p.total_revenue(&alloc);
         prop_assert!(
             got + 1e-6 >= bound * opt,
             "CS-GREEDY {got} < Theorem-3 bound {bound} × OPT {opt}"
