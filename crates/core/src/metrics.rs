@@ -51,12 +51,16 @@ pub struct RunStats {
     /// the cross-advertiser contention the parallel round structure must
     /// arbitrate. Deterministic and thread-count-invariant.
     pub contended_rounds: u64,
-    /// Total non-winner candidate invalidations across rounds (each forces
-    /// one refresh — a window repair — next round). `candidate_refreshes ≈
-    /// h + rounds + invalidated_candidates`: the initial fill, the
-    /// winner's repair each round and the invalidated ads' repairs, up to
+    /// Total non-winner window hits across rounds: commits of a node in
+    /// another ad's inspected window. A hit forces one refresh — a window
+    /// repair — next round, unless the ad's heap is drained and the node
+    /// is not its proposal: then the window only drops the node and the
+    /// cached proposal stands (nothing can move it). So
+    /// `candidate_refreshes ≤ h + rounds + invalidated_candidates` up to
     /// termination effects (exhaustion probes, heap rebuilds after a
-    /// departure or graph delta, which refresh every surviving ad).
+    /// departure or graph delta, which refresh every surviving ad): the
+    /// initial fill, the winner's repair each round and the repairs the
+    /// hits force.
     pub invalidated_candidates: u64,
     /// Stopping-rule evaluations performed across ads (OnlineBounds mode
     /// only; 0 under the fixed-θ schedule).
@@ -72,12 +76,10 @@ pub struct RunStats {
     /// Pooled ads reading the shared sets through importance weights.
     pub reweighted_ads: usize,
     /// RR sets invalidated by `ResidentEngine::apply_graph_delta` calls —
-    /// sets whose traces touched a changed edge target. 0 for batch runs.
+    /// sets whose traces touched a changed edge target. Every one is
+    /// resampled, so this is also the repair's resample count. 0 for batch
+    /// runs.
     pub delta_invalidated_sets: u64,
-    /// RR sets resampled to repair those invalidations (equal to
-    /// `delta_invalidated_sets` today; kept separate so future lazier
-    /// repair policies stay observable). 0 for batch runs.
-    pub delta_resampled_sets: u64,
 }
 
 impl RunStats {

@@ -12,7 +12,9 @@ use rm_rrsets::{KptEstimator, LazyGreedyHeap, PreparedSampler, RrArena, RrCovera
 /// in the ad's inspected window ([`AdState::window_hit`]) or the ad itself
 /// commits: nothing the selection read can have changed before then, so
 /// re-running selection would reproduce it bit-for-bit (see
-/// `engine::commit_round`).
+/// `engine::commit_round`). A hit on a window whose heap is drained keeps
+/// it too, when the node is not the proposal
+/// ([`AdState::absorb_window_hit`]).
 pub(crate) struct Candidate {
     /// Proposed seed node.
     pub v: NodeId,
@@ -58,12 +60,20 @@ pub(crate) struct AdState {
     /// popping `w` afresh. Empty for the eager ablation and the PageRank
     /// cursors.
     pub window: Vec<(NodeId, f64)>,
+    /// The buffer the next repair draws the window into: the repair
+    /// leaves the held entries' buffer empty, and it becomes the spare.
+    /// The two buffers swap roles, so repairs stop allocating once both
+    /// hold a full window. A fresh window buffer per repair, allocated on
+    /// the thread that commits and resizes the RR samples, fragmented
+    /// its heap and kept tens of MB resident between runs.
+    pub window_spare: Vec<(NodeId, f64)>,
     /// PageRank candidate order and cursor (baselines only).
     pub pr_order: Vec<NodeId>,
     pub pr_cursor: usize,
     /// True when the ad can take no further candidates.
     pub exhausted: bool,
-    /// Cached candidate proposal, valid until a commit hits its window.
+    /// Cached candidate proposal, valid until a commit hits its window
+    /// (and the window cannot absorb the hit).
     /// `None` for exhausted ads and for ads due a refresh this round.
     pub candidate: Option<Candidate>,
     /// Base seed of this ad's RR sampling stream.
@@ -117,8 +127,10 @@ pub(crate) struct OpimAdState {
 }
 
 impl AdState {
-    /// True if committing `v` elsewhere invalidates this ad's cached
-    /// proposal: the node is the proposal itself or sits in the window.
+    /// True if committing `v` elsewhere hits this ad's cached proposal:
+    /// the node is the proposal itself or sits in the window. A hit
+    /// invalidates the proposal unless [`Self::absorb_window_hit`] keeps
+    /// it.
     ///
     /// Deliberately a linear scan over cache-contiguous entries: the
     /// window changes at every repair, so a sorted or hashed membership
@@ -128,12 +140,37 @@ impl AdState {
             || self.window.iter().any(|&(u, _)| u == v)
     }
 
-    /// Installs a freshly built heap. The window is dropped with the old
-    /// heap: a rebuild holds every live node, so the next selection draws
-    /// its window from the new heap alone.
+    /// Absorbs another ad's commit of `v`, a node in this ad's window, when
+    /// the cached proposal provably survives it: the heap is drained (the
+    /// window already holds every live node, so nothing can refill it),
+    /// `v` is not the proposal, and the window without `v` is still in pop
+    /// order. The ad's coverage has not changed since the window was
+    /// drawn, so a repair would return exactly the window minus `v`, and
+    /// dropping a non-proposal entry cannot change the last maximal ratio.
+    /// Then `v` leaves the window and this returns true; otherwise the
+    /// window is left as it was.
+    pub fn absorb_window_hit(&mut self, v: NodeId) -> bool {
+        if !self.heap.is_empty() || self.candidate.as_ref().is_none_or(|c| c.v == v) {
+            return false;
+        }
+        let Some(pos) = self.window.iter().position(|&(u, _)| u == v) else {
+            return false;
+        };
+        let entry = self.window.remove(pos);
+        if LazyGreedyHeap::in_pop_order(&self.window) {
+            return true;
+        }
+        self.window.insert(pos, entry);
+        false
+    }
+
+    /// Installs a freshly built heap. The window's entries are dropped
+    /// with the old heap (its buffer is kept): a rebuild holds every live
+    /// node, so the next selection draws its window from the new heap
+    /// alone.
     pub fn set_heap(&mut self, heap: LazyGreedyHeap) {
         self.heap = heap;
-        self.window = Vec::new();
+        self.window.clear();
     }
 
     /// Internal revenue estimate `π_j(S_j) = cpe · n · covered/θ`.

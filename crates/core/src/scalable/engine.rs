@@ -21,7 +21,9 @@
 //!    drop their proposal: each ad's inspected window persists across
 //!    rounds, and the next refresh repairs it from the held entries plus
 //!    the heap top, so a commit costs what it changed rather than a
-//!    `w`-entry round trip through the heap.
+//!    `w`-entry round trip through the heap. A contended ad whose heap is
+//!    drained keeps its proposal unless the commit took it: its window
+//!    just drops the node.
 //!
 //! The sampling/θ lifecycle (pilot estimation, Eq. 8/OPIM growth, Eq. 10
 //! latent updates) lives in `epoch.rs`; both halves are methods on the
@@ -132,8 +134,11 @@ impl EngineCtx<'_> {
     /// update, validation stream, Eq. 10 latent-size update with
     /// `certify_or_double`/fixed-θ resampling); every other ad whose window
     /// the committed node hit drops its proposal, keeping the window held
-    /// for the refresh next round to repair. Unaffected ads are not touched
-    /// at all — their cached proposal and window stay exactly as they were.
+    /// for the refresh next round to repair — unless its heap is drained
+    /// and the node is not its proposal, when the window just drops the
+    /// node and the proposal stands ([`AdState::absorb_window_hit`]).
+    /// Unaffected ads are not touched at all — their cached proposal and
+    /// window stay exactly as they were.
     pub(crate) fn commit_round(
         &self,
         ads: &mut [Option<AdState>],
@@ -152,6 +157,9 @@ impl EngineCtx<'_> {
             let hit = st.window_hit(v);
             if hit {
                 invalidated += 1;
+                if cacheable && st.absorb_window_hit(v) {
+                    continue;
+                }
             }
             if hit || !cacheable {
                 st.candidate = None;
@@ -428,10 +436,14 @@ impl EngineCtx<'_> {
         let incent = &self.inst().incentives[st.idx];
         let cost = |v: NodeId| incent.cost(v).max(COST_FLOOR);
         let AdState {
-            cov, heap, window, ..
+            cov,
+            heap,
+            window,
+            window_spare,
+            ..
         } = st;
         let cov: &RrCoverage = cov;
-        let mut held = std::mem::take(window);
+        let mut held = std::mem::replace(window, std::mem::take(window_spare));
         window.reserve_exact(w.min(heap.len() + held.len()));
         stats.candidate_evaluations += heap.pop_window(
             &mut held,
@@ -440,6 +452,7 @@ impl EngineCtx<'_> {
             |v| assigned[v as usize],
             window,
         ) as u64;
+        *window_spare = held;
         let v = match key {
             KeyKind::WindowedRatio => window
                 .iter()

@@ -281,6 +281,7 @@ impl<'a> EngineCtx<'a> {
             cost_total: 0.0,
             heap: LazyGreedyHeap::default(),
             window: Vec::new(),
+            window_spare: Vec::new(),
             pr_order,
             pr_cursor: 0,
             exhausted: false,

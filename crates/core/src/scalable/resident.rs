@@ -35,6 +35,7 @@
 
 use std::sync::Arc;
 
+use rm_diffusion::DiffusionKind;
 use rm_graph::NodeId;
 use rm_rrsets::{LazyGreedyHeap, PreparedSampler, RrCoverage, SharedRrPool, TenantMode};
 
@@ -132,8 +133,9 @@ pub enum ResidentError {
     AdNotActive(usize),
     /// The same ad listed twice in one arrival batch.
     DuplicateAd(usize),
-    /// The post-delta instance changed node or ad count; deltas repair
-    /// state in place and cannot renumber it.
+    /// The post-delta instance changed node or ad count (deltas repair
+    /// state in place and cannot renumber it), or an instance's per-ad
+    /// diffusion parameters or incentives do not fit its own graph.
     InstanceMismatch,
     /// A graph-delta edge endpoint at or past the instance's node count.
     NodeOutOfRange(NodeId),
@@ -151,7 +153,10 @@ impl std::fmt::Display for ResidentError {
             ResidentError::AdNotActive(j) => write!(f, "ad {j} not active"),
             ResidentError::DuplicateAd(j) => write!(f, "ad {j} listed twice"),
             ResidentError::InstanceMismatch => {
-                write!(f, "post-delta instance must keep node and ad counts")
+                write!(
+                    f,
+                    "instance must fit its graph and keep node and ad counts across deltas"
+                )
             }
             ResidentError::NodeOutOfRange(v) => write!(f, "delta node {v} out of range"),
             ResidentError::SetsNotRetained => {
@@ -203,6 +208,7 @@ impl<'a> ResidentEngine<'a> {
         cfg: ScalableConfig,
     ) -> Result<Self, ResidentError> {
         cfg.validate()?;
+        check_instance(&inst)?;
         Ok(Self::build(InstHandle::Owned(inst), kind, cfg, true))
     }
 
@@ -346,9 +352,10 @@ impl<'a> ResidentEngine<'a> {
     /// the worst-case sizing is stale). A cold restart is the escape hatch
     /// when a delta is large enough to distrust the carried θ.
     ///
-    /// The invalidated/resampled counts land in
-    /// [`RunStats::delta_invalidated_sets`] /
-    /// [`RunStats::delta_resampled_sets`] and in the returned event.
+    /// The ads are repaired concurrently, on up to `sampler_threads` of the
+    /// cores. Every invalidated set is resampled, so the count lands once
+    /// in [`RunStats::delta_invalidated_sets`] and twice in the returned
+    /// event (`invalidated_sets` and `resampled_sets`).
     pub fn apply_graph_delta(
         &mut self,
         new_inst: Arc<RmInstance>,
@@ -359,6 +366,7 @@ impl<'a> ResidentEngine<'a> {
         if new_inst.num_nodes() != n || new_inst.num_ads() != h {
             return Err(ResidentError::InstanceMismatch);
         }
+        check_instance(&new_inst)?;
         if !self.ctx.retain_sets {
             return Err(ResidentError::SetsNotRetained);
         }
@@ -379,67 +387,29 @@ impl<'a> ResidentEngine<'a> {
             let models: Vec<_> = (0..h).map(|j| inst.model(j)).collect();
             invalidated += p.apply_delta(&inst.graph, &models, &changed);
         }
-        let needs_pagerank = matches!(
-            self.ctx.kind,
-            AlgorithmKind::PageRankGr | AlgorithmKind::PageRankRr
-        );
         self.ensure_pr_orders();
+        // Each ad's repair reads only shared state (the new graph, the
+        // repaired pool, `assigned`), so the ads fan out like `init_ads`:
+        // `workers` repairs in flight, each sampler capped at its share of
+        // the cores, so the product stays at the core count. The width is
+        // also capped at `sampler_threads`, so `sampler_threads: 1` stays
+        // the sequential path. Counts are summed in ad order.
         let ctx = &self.ctx;
-        let inst = ctx.inst();
-        let g = &inst.graph;
+        let assigned = &self.assigned;
         let rr_pool = self.rr_pool.as_ref();
         let pr_orders = self.pr_orders.as_deref().unwrap_or(&[]);
-        for st in self.ads.iter_mut().flatten() {
-            let j = st.idx;
-            let mut sampler = PreparedSampler::for_model(g, &inst.model(j));
-            sampler.set_thread_cap(ctx.cfg.sampler_threads);
-            st.sampler = sampler;
-            let mode = rr_pool.map_or(TenantMode::Private, |p| p.mode(j));
-            if mode == TenantMode::Private {
-                // Private selection stream: targeted in-place resample,
-                // then rebuild the index from the repaired arena. Ingesting
-                // with the seed mask reproduces the incremental state: a
-                // set is covered iff it contains one of the ad's seeds.
-                invalidated +=
-                    st.sampler
-                        .resample_touched(g, st.sample_seed, &mut st.sel_sets, &changed);
-                let mut cov = RrCoverage::new(n);
-                cov.add_batch(&st.sel_sets, &st.is_seed);
-                st.cov = cov;
-            } else {
-                // Pool tenant: the group arena was repaired above; re-ingest
-                // the ad's θ-view (weighted for reweighted tenants).
-                st.cov = if mode == TenantMode::Reweighted {
-                    RrCoverage::new_weighted(n)
-                } else {
-                    RrCoverage::new(n)
-                };
-                let pooled = ctx.pooled_add_range(st, rr_pool, 0, st.theta);
-                // INVARIANT: `mode` just classified this ad a pool tenant.
-                debug_assert!(pooled, "pool tenant must re-ingest from its group");
-            }
-            // The validation stream (OnlineBounds) is always private.
-            if let Some(op) = st.opim.as_mut() {
-                invalidated +=
-                    st.sampler
-                        .resample_touched(g, op.val_seed, &mut st.val_sets, &changed);
-                let mut val_cov = RrCoverage::new(n);
-                val_cov.add_batch(&st.val_sets, &st.is_seed);
-                op.val_cov = val_cov;
-            }
-            st.candidate = None;
-            st.exhausted = false;
-            if needs_pagerank {
-                st.pr_order = pr_orders.get(j).cloned().unwrap_or_default();
-                st.pr_cursor = 0;
-                st.set_heap(LazyGreedyHeap::default());
-            } else {
-                st.set_heap(ctx.build_heap(&st.cov, j, &self.assigned));
-                self.stats.candidate_evaluations += n as u64;
-            }
+        let jobs: Vec<&mut AdState> = self.ads.iter_mut().flatten().collect();
+        let cores = available_cores();
+        let workers = cores.min(ctx.cfg.sampler_threads).min(jobs.len()).max(1);
+        let inner_threads = (cores / workers).max(1).min(ctx.cfg.sampler_threads);
+        let repaired = par_map_ordered(jobs, workers, |st| {
+            ctx.repair_ad(st, &changed, assigned, rr_pool, pr_orders, inner_threads)
+        });
+        for (sets, evaluations) in repaired {
+            invalidated += sets;
+            self.stats.candidate_evaluations += evaluations;
         }
         self.stats.delta_invalidated_sets += invalidated;
-        self.stats.delta_resampled_sets += invalidated;
         let rounds = self.run_rounds();
         Ok(self.log_event(
             ServeOp::GraphDelta {
@@ -655,5 +625,101 @@ impl<'a> ResidentEngine<'a> {
             stats.reweighted_ads = p.reweighted_ads();
         }
         (alloc, stats)
+    }
+}
+
+/// Rejects an instance the engine would index out of bounds: IC and LT
+/// need one parameter vector per ad, one entry per edge of the graph; TIC
+/// needs its shared topic table; every ad needs an incentive schedule over
+/// the graph's nodes.
+fn check_instance(inst: &RmInstance) -> Result<(), ResidentError> {
+    let h = inst.num_ads();
+    let models_fit = match inst.diffusion {
+        DiffusionKind::TopicAwareCascade => inst.tic.is_some(),
+        DiffusionKind::IndependentCascade | DiffusionKind::LinearThreshold => {
+            let m = inst.graph.num_edges();
+            inst.ad_probs.len() == h && inst.ad_probs.iter().all(|p| p.len() == m)
+        }
+    };
+    let n = inst.num_nodes();
+    let incentives_fit = inst.incentives.len() == h && inst.incentives.iter().all(|s| s.len() == n);
+    if models_fit && incentives_fit {
+        Ok(())
+    } else {
+        Err(ResidentError::InstanceMismatch)
+    }
+}
+
+impl EngineCtx<'_> {
+    /// Repairs one active ad after a graph delta, on the current (post-delta)
+    /// instance: re-gathers its sampler (capped at `threads` workers for the
+    /// repair, restored to `sampler_threads` after), resamples its
+    /// invalidated private sets in place, re-ingests its coverage indexes,
+    /// and rebuilds its heap (or rewinds its PageRank cursor). Reads only
+    /// shared state, so ads repair concurrently. Returns the sets it
+    /// resampled and the candidate evaluations its heap rebuild cost.
+    fn repair_ad(
+        &self,
+        st: &mut AdState,
+        changed: &[bool],
+        assigned: &[bool],
+        rr_pool: Option<&SharedRrPool>,
+        pr_orders: &[Vec<NodeId>],
+        threads: usize,
+    ) -> (u64, u64) {
+        let inst = self.inst();
+        let g = &inst.graph;
+        let n = inst.num_nodes();
+        let j = st.idx;
+        let mut resampled = 0u64;
+        st.sampler = PreparedSampler::for_model(g, &inst.model(j));
+        st.sampler.set_thread_cap(threads);
+        let mode = rr_pool.map_or(TenantMode::Private, |p| p.mode(j));
+        if mode == TenantMode::Private {
+            // Private selection stream: targeted in-place resample, then
+            // rebuild the index from the repaired arena. Ingesting with the
+            // seed mask reproduces the incremental state: a set is covered
+            // iff it contains one of the ad's seeds. The old index is
+            // dropped before the new one is built.
+            resampled += st
+                .sampler
+                .resample_touched(g, st.sample_seed, &mut st.sel_sets, changed);
+            st.cov = RrCoverage::new(n);
+            st.cov.add_batch(&st.sel_sets, &st.is_seed);
+        } else {
+            // Pool tenant: the group arena was repaired before the fan-out;
+            // re-ingest the ad's θ-view (weighted for reweighted tenants).
+            st.cov = if mode == TenantMode::Reweighted {
+                RrCoverage::new_weighted(n)
+            } else {
+                RrCoverage::new(n)
+            };
+            let pooled = self.pooled_add_range(st, rr_pool, 0, st.theta);
+            // INVARIANT: `mode` just classified this ad a pool tenant.
+            debug_assert!(pooled, "pool tenant must re-ingest from its group");
+        }
+        // The validation stream (OnlineBounds) is always private.
+        if let Some(op) = st.opim.as_mut() {
+            resampled += st
+                .sampler
+                .resample_touched(g, op.val_seed, &mut st.val_sets, changed);
+            op.val_cov = RrCoverage::new(n);
+            op.val_cov.add_batch(&st.val_sets, &st.is_seed);
+        }
+        st.sampler.set_thread_cap(self.cfg.sampler_threads);
+        st.candidate = None;
+        st.exhausted = false;
+        if matches!(
+            self.kind,
+            AlgorithmKind::PageRankGr | AlgorithmKind::PageRankRr
+        ) {
+            st.pr_order = pr_orders.get(j).cloned().unwrap_or_default();
+            st.pr_cursor = 0;
+            st.set_heap(LazyGreedyHeap::default());
+            (resampled, 0)
+        } else {
+            st.set_heap(self.build_heap(&st.cov, j, assigned));
+            (resampled, n as u64)
+        }
     }
 }

@@ -992,6 +992,16 @@ impl LazyGreedyHeap {
         PopStep::Retry
     }
 
+    /// True if `entries` are in the order a heap pops them: strictly
+    /// descending key, ties to the lower node. A window's draws are in
+    /// this order unless the 1e-12 slack re-keyed one below its successor.
+    pub fn in_pop_order(entries: &[(NodeId, f64)]) -> bool {
+        let entry = |&(node, key): &(NodeId, f64)| HeapEntry { key, node };
+        entries
+            .windows(2)
+            .fold(true, |sorted, p| sorted & (entry(&p[0]) > entry(&p[1])))
+    }
+
     /// Draws up to `w` valid entries into `out` (cleared first), in pop
     /// order, from the union of the heap and `held` — entries drawn from
     /// this heap earlier and held out of it since, each with the key it was
@@ -1022,10 +1032,7 @@ impl LazyGreedyHeap {
         let entry = |&(node, key): &(NodeId, f64)| HeapEntry { key, node };
         // The held run in heap order. Draw order already is heap order
         // unless the slack returned a key below its stored one.
-        if !held
-            .windows(2)
-            .fold(true, |sorted, p| sorted & (entry(&p[0]) > entry(&p[1])))
-        {
+        if !Self::in_pop_order(held) {
             held.sort_unstable_by_key(|e| std::cmp::Reverse(entry(e)));
         }
         // Current key of every held entry (`None`: skipped, dropped when
