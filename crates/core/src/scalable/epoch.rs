@@ -223,57 +223,11 @@ impl<'a> EngineCtx<'a> {
                 )
             }
         };
-        let sample_seed = stream_seed(self.cfg.seed ^ 0x005A_3D17, j as u64);
-        let no_seeds = vec![false; n];
-        // Selection stream: pooled tenants read the shared arena (weighted
-        // ingestion for reweighted tenants — the index accumulates the
-        // importance mass); private ads sample their own stream. Shared
-        // sets are accounted once by the pool, so `samples` stays 0 here
-        // for pooled ads.
-        let mut cov = if pool_mode == TenantMode::Reweighted {
-            RrCoverage::new_weighted(n)
-        } else {
-            RrCoverage::new(n)
-        };
-        let mut samples = 0u64;
-        let mut sel_sets = RrArena::new();
-        let pooled = rr_pool
-            .and_then(|p| {
-                p.with_range(g, j, 0, theta, |arena, lo, hi, w| {
-                    match w {
-                        Some(w) => cov.add_range_weighted(arena, lo, hi, &no_seeds, w),
-                        None => cov.add_range(arena, lo, hi, &no_seeds),
-                    };
-                })
-            })
-            .is_some();
-        if !pooled {
-            let (sets, _) = sampler.sample_batch(g, theta, sample_seed, 0);
-            cov.add_batch(&sets, &no_seeds);
-            samples += theta as u64;
-            if self.retain_sets {
-                sel_sets = sets;
-            }
-        }
-        // The validation stream (OnlineBounds) is always a private
-        // unit-weight sample: the stopping rule's unbiasedness argument
-        // needs draws independent of the selection stream every other
-        // tenant shares.
-        let mut val_sets = RrArena::new();
-        let op = op.map(|mut op| {
-            let (vsets, _) = sampler.sample_batch(g, theta, op.val_seed, 0);
-            op.val_cov.add_batch(&vsets, &no_seeds);
-            samples += theta as u64;
-            if self.retain_sets {
-                val_sets = vsets;
-            }
-            op
-        });
         let mut st = AdState {
             idx: j,
             sampler,
-            cov,
-            theta,
+            cov: self.selection_index(j, rr_pool),
+            theta: 0,
             s_latent,
             kpt,
             seeds: Vec::new(),
@@ -286,14 +240,17 @@ impl<'a> EngineCtx<'a> {
             pr_cursor: 0,
             exhausted: false,
             candidate: None,
-            sample_seed,
-            samples,
+            sample_seed: stream_seed(self.cfg.seed ^ 0x005A_3D17, j as u64),
+            samples: 0,
             capped,
             bound_checks: 0,
             opim: op,
-            sel_sets,
-            val_sets,
+            sel_sets: RrArena::new(),
+            val_sets: RrArena::new(),
         };
+        self.grow_selection(&mut st, rr_pool, theta);
+        self.grow_validation(&mut st, theta);
+        st.theta = theta;
         // OnlineBounds: double from the pilot until the stopping rule
         // certifies the initial latent size (or the Eq. 8 cap is reached).
         // `assigned` reflects seeds committed before this ad arrived (all
@@ -339,7 +296,6 @@ impl<'a> EngineCtx<'a> {
         rr_pool: Option<&SharedRrPool>,
     ) -> bool {
         let tim = &self.tim;
-        let g = &self.inst().graph;
         let mut grew = false;
         loop {
             let op = st
@@ -387,33 +343,60 @@ impl<'a> EngineCtx<'a> {
                 }
                 return grew;
             }
-            // Grow both streams to the next doubling step. The selection
-            // stream comes from the pool for pooled ads (and is then
-            // counted by the pool, not `samples`); the validation stream is
-            // always a fresh private batch.
+            // Grow both streams to the next doubling step.
             let target = opim::next_theta(st.theta, op.theta_cap);
-            let batch = target - st.theta;
-            let val_seed = op.val_seed;
-            if !self.pooled_add_range(st, rr_pool, st.theta, target) {
-                let (sets, _) = st
-                    .sampler
-                    .sample_batch(g, batch, st.sample_seed, st.theta as u64);
-                st.cov.add_batch(&sets, &st.is_seed);
-                st.samples += batch as u64;
-                if self.retain_sets {
-                    st.sel_sets.append(&sets);
-                }
-            }
-            let (val_sets, _) = st.sampler.sample_batch(g, batch, val_seed, st.theta as u64);
-            if self.retain_sets {
-                st.val_sets.append(&val_sets);
-            }
-            // INVARIANT: the enclosing branch read st.opim immutably above.
-            let op = st.opim.as_mut().expect("opim state just observed");
-            op.val_cov.add_batch(&val_sets, &st.is_seed);
-            st.samples += batch as u64;
+            self.grow_selection(st, rr_pool, target);
+            self.grow_validation(st, target);
             st.theta = target;
             grew = true;
+        }
+    }
+
+    /// An empty selection index for ad `j`: weighted for reweighted pool
+    /// tenants (the index accumulates the importance mass), plain counts
+    /// otherwise.
+    pub(crate) fn selection_index(&self, j: usize, rr_pool: Option<&SharedRrPool>) -> RrCoverage {
+        let n = self.inst().num_nodes();
+        match rr_pool.map_or(TenantMode::Private, |p| p.mode(j)) {
+            TenantMode::Reweighted => RrCoverage::new_weighted(n),
+            TenantMode::Identical | TenantMode::Private => RrCoverage::new(n),
+        }
+    }
+
+    /// Grows the ad's selection stream from θ to `target` sets. Pooled ads
+    /// extend their view of the shared arena, whose sets the pool counts
+    /// once; private ads sample their own stream, count it in `samples`,
+    /// and retain it when the engine runs resident (an empty retained
+    /// arena takes the batch by move).
+    fn grow_selection(&self, st: &mut AdState, rr_pool: Option<&SharedRrPool>, target: usize) {
+        if self.pooled_add_range(st, rr_pool, st.theta, target) {
+            return;
+        }
+        let g = &self.inst().graph;
+        let (sets, _) =
+            st.sampler
+                .sample_batch(g, target - st.theta, st.sample_seed, st.theta as u64);
+        st.cov.add_batch(&sets, &st.is_seed);
+        st.samples += (target - st.theta) as u64;
+        if self.retain_sets {
+            retain(&mut st.sel_sets, sets);
+        }
+    }
+
+    /// Grows the ad's validation stream (OnlineBounds; a no-op under the
+    /// fixed-θ schedule) from θ to `target` sets. It is always a private
+    /// unit-weight sample: the stopping rule's unbiasedness argument needs
+    /// draws independent of the selection stream every other tenant shares.
+    fn grow_validation(&self, st: &mut AdState, target: usize) {
+        let Some(op) = st.opim.as_mut() else { return };
+        let g = &self.inst().graph;
+        let (sets, _) = st
+            .sampler
+            .sample_batch(g, target - st.theta, op.val_seed, st.theta as u64);
+        op.val_cov.add_batch(&sets, &st.is_seed);
+        st.samples += (target - st.theta) as u64;
+        if self.retain_sets {
+            retain(&mut st.val_sets, sets);
         }
     }
 
@@ -494,21 +477,7 @@ impl<'a> EngineCtx<'a> {
                     st.capped = true;
                 }
                 if theta_new > st.theta {
-                    // Pooled ads extend their view of the shared arena;
-                    // private ads grow their own stream.
-                    if !self.pooled_add_range(st, rr_pool, st.theta, theta_new) {
-                        let (sets, _) = st.sampler.sample_batch(
-                            &inst.graph,
-                            theta_new - st.theta,
-                            st.sample_seed,
-                            st.theta as u64,
-                        );
-                        st.cov.add_batch(&sets, &st.is_seed);
-                        st.samples += (theta_new - st.theta) as u64;
-                        if self.retain_sets {
-                            st.sel_sets.append(&sets);
-                        }
-                    }
+                    self.grow_selection(st, rr_pool, theta_new);
                     st.theta = theta_new;
                     // Coverage counts grew: lazy-heap invariant (keys only
                     // decrease) is broken, rebuild from scratch.
@@ -535,6 +504,16 @@ impl<'a> EngineCtx<'a> {
                 }
             }
         }
+    }
+}
+
+/// Appends a freshly sampled batch to a retained stream, moving it in
+/// when the stream is still empty.
+fn retain(stream: &mut RrArena, sets: RrArena) {
+    if stream.is_empty() {
+        *stream = sets;
+    } else {
+        stream.append(&sets);
     }
 }
 

@@ -674,29 +674,21 @@ impl EngineCtx<'_> {
         let mut resampled = 0u64;
         st.sampler = PreparedSampler::for_model(g, &inst.model(j));
         st.sampler.set_thread_cap(threads);
-        let mode = rr_pool.map_or(TenantMode::Private, |p| p.mode(j));
-        if mode == TenantMode::Private {
-            // Private selection stream: targeted in-place resample, then
-            // rebuild the index from the repaired arena. Ingesting with the
-            // seed mask reproduces the incremental state: a set is covered
-            // iff it contains one of the ad's seeds. The old index is
-            // dropped before the new one is built.
+        // A private selection stream is resampled in place first; a pool
+        // tenant's group arena was repaired before the fan-out. Then the
+        // index is rebuilt from the repaired sets, the old one dropped before
+        // the new one is filled: the ad's θ-view of the group arena
+        // (weighted for reweighted tenants), or the retained private arena.
+        // Ingesting with the seed mask reproduces the incremental state: a
+        // set is covered iff it contains one of the ad's seeds.
+        if rr_pool.is_none_or(|p| p.mode(j) == TenantMode::Private) {
             resampled += st
                 .sampler
                 .resample_touched(g, st.sample_seed, &mut st.sel_sets, changed);
-            st.cov = RrCoverage::new(n);
+        }
+        st.cov = self.selection_index(j, rr_pool);
+        if !self.pooled_add_range(st, rr_pool, 0, st.theta) {
             st.cov.add_batch(&st.sel_sets, &st.is_seed);
-        } else {
-            // Pool tenant: the group arena was repaired before the fan-out;
-            // re-ingest the ad's θ-view (weighted for reweighted tenants).
-            st.cov = if mode == TenantMode::Reweighted {
-                RrCoverage::new_weighted(n)
-            } else {
-                RrCoverage::new(n)
-            };
-            let pooled = self.pooled_add_range(st, rr_pool, 0, st.theta);
-            // INVARIANT: `mode` just classified this ad a pool tenant.
-            debug_assert!(pooled, "pool tenant must re-ingest from its group");
         }
         // The validation stream (OnlineBounds) is always private.
         if let Some(op) = st.opim.as_mut() {

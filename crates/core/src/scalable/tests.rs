@@ -1680,3 +1680,198 @@ fn resident_rejects_invalid_operations_with_typed_errors() {
         ResidentError::SetsNotRetained
     );
 }
+
+// ---------------------------------------------------------------------------
+// Seeded random resident scripts.
+// ---------------------------------------------------------------------------
+
+/// One operation of a generated resident script.
+#[derive(Clone, Debug)]
+enum ScriptOp {
+    Arrive(usize),
+    Depart(usize),
+    /// Removes the listed edges and inserts the others.
+    Delta(GraphDelta),
+}
+
+/// Ads of a script instance.
+const SCRIPT_ADS: usize = 4;
+
+/// Decodes raw draws into a script over [`SCRIPT_ADS`] ads on the edge
+/// list `edges`: an opening arrival, then arrivals, departures and one to
+/// three graph deltas in the drawn order. A departure never empties the
+/// engine, and each delta removes two to five present edges and re-inserts
+/// up to two removed ones. Returns the script and the final edge list.
+fn decode_script(
+    raw: &[u32],
+    edges: &[(rm_graph::NodeId, rm_graph::NodeId)],
+) -> (Vec<ScriptOp>, Vec<(rm_graph::NodeId, rm_graph::NodeId)>) {
+    let mut edges = edges.to_vec();
+    let mut removed = Vec::new();
+    let mut active = [false; SCRIPT_ADS];
+    let deltas_wanted = 1 + raw[0] as usize % 3;
+    let mut deltas = 0;
+    let mut ops = Vec::new();
+    for (i, &r) in raw[1..].iter().enumerate() {
+        let left = raw.len() - 2 - i;
+        let (kind, x) = (r % 3, (r / 3) as usize);
+        let live: Vec<usize> = (0..SCRIPT_ADS).filter(|&a| active[a]).collect();
+        let idle: Vec<usize> = (0..SCRIPT_ADS).filter(|&a| !active[a]).collect();
+        let must_delta = deltas < deltas_wanted && left < deltas_wanted - deltas;
+        let op = if !live.is_empty() && (must_delta || (kind == 2 && deltas < deltas_wanted)) {
+            deltas += 1;
+            let mut delta = GraphDelta::default();
+            for k in 0..(x / 7) % 3 {
+                if !removed.is_empty() {
+                    let at = (x / 3 + k) % removed.len();
+                    delta.inserts.push(removed.swap_remove(at));
+                }
+            }
+            for k in 0..2 + x % 4 {
+                let at = (x / 4 + 97 * k) % edges.len();
+                delta.removes.push(edges.swap_remove(at));
+            }
+            removed.extend(&delta.removes);
+            edges.extend(&delta.inserts);
+            ScriptOp::Delta(delta)
+        } else if live.len() >= 2 && (kind == 1 || idle.is_empty()) {
+            let a = live[x % live.len()];
+            active[a] = false;
+            ScriptOp::Depart(a)
+        } else {
+            let a = idle[x % idle.len()];
+            active[a] = true;
+            ScriptOp::Arrive(a)
+        };
+        ops.push(op);
+    }
+    (ops, edges)
+}
+
+/// A script instance on `edges` for the ads `tenants`: identical Weighted
+/// Cascade ads for private streams, or two-topic TIC ads whose mixtures
+/// alternate by ad id — reweighted pool tenants — for a pooled config.
+/// Edge probabilities depend only on the edge and its target's in-degree,
+/// so a delta changes exactly the in-edges of its edges' targets.
+fn script_instance(
+    edges: &[(rm_graph::NodeId, rm_graph::NodeId)],
+    tenants: &[usize],
+    pooled: bool,
+) -> RmInstance {
+    let n = 300;
+    if !pooled {
+        return wc_edges_instance(n, edges, tenants.len(), 45.0, 0.2, 13);
+    }
+    let g = Arc::new(rm_graph::builder::graph_from_edges(n, edges));
+    let probs: Vec<f32> = g
+        .edges()
+        .flat_map(|(_, u, v)| {
+            let d = g.in_degree(v) as f32;
+            let h = rm_graph::seed::mix64(u64::from(u) << 32 | u64::from(v));
+            let f = 0.2 + 0.8 * (h >> 40) as f32 / (1u32 << 24) as f32;
+            [1.0 / d, f / d]
+        })
+        .collect();
+    let tic = Arc::new(TicModel::from_matrix(&g, 2, probs));
+    let ads = tenants
+        .iter()
+        .map(|&a| {
+            let w = if a % 2 == 0 { [0.6, 0.4] } else { [0.4, 0.6] };
+            Advertiser::new(1.0, 45.0, TopicDistribution::new(&w))
+        })
+        .collect();
+    RmInstance::build_tic(
+        g,
+        tic,
+        ads,
+        IncentiveModel::Linear { alpha: 0.2 },
+        SingletonMethod::RrEstimate { theta: 20_000 },
+        13,
+    )
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(6))]
+
+    /// Random scripts of arrivals, departures and graph deltas, under private
+    /// and pooled streams and both sampling strategies: each replays
+    /// bit-identically at `sampler_threads` 1 and 8, and ends within the
+    /// arrival-order suite's 0.15 relative revenue of a cold batch run on
+    /// the final tenants and graph.
+    #[test]
+    fn resident_random_scripts_replay_and_converge_near_cold(
+        raw in proptest::strategy_mods::collection::vec(0u32..u32::MAX, 7..=10)
+    ) {
+        let base_edges = ba_edges(300, 13);
+        let (script, final_edges) = decode_script(&raw, &base_edges);
+        let mut active: Vec<usize> = Vec::new();
+        for op in &script {
+            match op {
+                ScriptOp::Arrive(a) => active.push(*a),
+                ScriptOp::Depart(a) => active.retain(|b| b != a),
+                ScriptOp::Delta(_) => {}
+            }
+        }
+        active.sort_unstable();
+        let all: Vec<usize> = (0..SCRIPT_ADS).collect();
+        for base in [test_cfg(5), online_cfg(5), pooled_cfg(5), ScalableConfig {
+            rr_sharing: true,
+            ..online_cfg(5)
+        }] {
+            // One instance per graph the script visits, shared by both runs.
+            let mut edges = base_edges.clone();
+            let mut graphs = vec![Arc::new(script_instance(&edges, &all, base.rr_sharing))];
+            for op in &script {
+                if let ScriptOp::Delta(d) = op {
+                    edges.retain(|e| !d.removes.contains(e));
+                    edges.extend(&d.inserts);
+                    graphs.push(Arc::new(script_instance(&edges, &all, base.rr_sharing)));
+                }
+            }
+            let run = |sampler_threads: usize| {
+                let cfg = ScalableConfig { sampler_threads, ..base };
+                let mut eng =
+                    ResidentEngine::new(Arc::clone(&graphs[0]), AlgorithmKind::TiCsrm, cfg)
+                        .unwrap();
+                let mut next = 1;
+                for op in &script {
+                    match op {
+                        ScriptOp::Arrive(a) => eng.add_advertiser(*a),
+                        ScriptOp::Depart(a) => eng.remove_advertiser(*a),
+                        ScriptOp::Delta(d) => {
+                            next += 1;
+                            eng.apply_graph_delta(Arc::clone(&graphs[next - 1]), d)
+                        }
+                    }
+                    .unwrap();
+                }
+                let events = eng.events().to_vec();
+                let (alloc, stats) = eng.finish();
+                (events, alloc, stats)
+            };
+            let what = format!("{:?} pooled={}", base.sampling, base.rr_sharing);
+            let (ev1, al1, st1) = run(1);
+            let (ev8, al8, st8) = run(8);
+            proptest::prop_assert_eq!(&ev1, &ev8, "{}: event logs differ", what);
+            proptest::prop_assert_eq!(&al1, &al8, "{}: allocations differ", what);
+            proptest::prop_assert_eq!(
+                deterministic_stats(&st1),
+                deterministic_stats(&st8),
+                "{}: stats differ",
+                what
+            );
+            let cold_inst = script_instance(&final_edges, &active, base.rr_sharing);
+            let (_, cold) = TiEngine::new(&cold_inst, AlgorithmKind::TiCsrm, base).run();
+            let rel =
+                (st1.total_revenue() - cold.total_revenue()).abs() / cold.total_revenue();
+            proptest::prop_assert!(
+                rel < 0.15,
+                "{}: resident revenue {} vs cold {} (rel {:.3})",
+                what,
+                st1.total_revenue(),
+                cold.total_revenue(),
+                rel
+            );
+        }
+    }
+}

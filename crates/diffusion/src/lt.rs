@@ -184,6 +184,7 @@ pub fn singleton_spreads_lt_mc(
         g.num_nodes(),
         runs,
         seed,
+        crate::spread::num_threads(g.num_nodes()),
         || LtWorkspace::new(g.num_nodes()),
         |u, ws, rng| simulate_lt_cascade(g, weights, &[u], ws, rng),
     )

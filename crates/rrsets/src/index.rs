@@ -817,7 +817,7 @@ impl RrCoverage {
         (self.covered_total() + newly_all, newly_all - newly_base)
     }
 
-    /// Plain greedy max-coverage of size `k` (test oracle / IM baseline).
+    /// Plain greedy max-coverage of size `k` (test oracle).
     /// Does not mutate the index. One greedy loop serves both this oracle
     /// and the stopping rule's extension ([`Self::greedy_extension`]), so
     /// their tie-breaking cannot diverge.

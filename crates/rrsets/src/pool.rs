@@ -67,8 +67,8 @@
 //! boundaries. Groups without reweighted tenants grow via
 //! [`PreparedSampler::sample_batch`]; groups with reweighted tenants grow
 //! via the traced batch (`PreparedSampler::sample_traced`), which runs on
-//! the same work-stealing blocks, is draw-for-draw identical to the
-//! untraced sampler, and computes each set's weights from that set's own
+//! the same block scheduler and TIC walk as the untraced batch, is
+//! draw-for-draw identical to it, and computes each set's weights from that set's own
 //! log-sums. Both are bit-identical at any worker count, and joining a
 //! reweighted tenant never changes the sets the other tenants read. Graph
 //! deltas repair reweighted groups through the same traced batch, over the
@@ -483,10 +483,10 @@ impl SharedRrPool {
         let mut resampled = 0u64;
         for group in &mut self.groups {
             group.sampler = group.sampler.prepare_like(g, &models[group.specs[0].ad]);
-            // INVARIANT: see `read_group` — poisoning means a sibling
-            // panicked mid-growth; propagating is the only sound response.
-            let st = group.state.get_mut().expect("pool group lock poisoned");
+            let group = &*group;
+            let mut st = write_group(group);
             st.kpt.clear();
+            let st = &mut *st;
             if group.mixtures.is_empty() {
                 resampled +=
                     group
@@ -496,26 +496,7 @@ impl SharedRrPool {
             }
             let ids = st.arena.sets_touching(changed);
             let mut repl = RrArena::with_capacity(ids.len(), 2 * ids.len());
-            let mut ids_left = ids.iter();
-            let columns = group.mixtures.len();
-            let weights = &mut st.weights;
-            sample_weighted(
-                g,
-                &group.sampler,
-                &group.mixtures,
-                group.sample_seed,
-                SetIds::List(&ids),
-                |block| {
-                    repl.append(&block.arena);
-                    // Chunks first: `zip` must not pull an id past the block.
-                    let chunks = block.weights.chunks_exact(columns);
-                    for (set_w, &id) in chunks.zip(ids_left.by_ref()) {
-                        for (col, &w) in weights.iter_mut().zip(set_w) {
-                            col[id] = w;
-                        }
-                    }
-                },
-            );
+            group.sample_weighted(g, SetIds::List(&ids), &mut repl, &mut st.weights);
             st.arena.replace_sets(&ids, &repl);
             resampled += ids.len() as u64;
         }
@@ -554,64 +535,71 @@ fn grow(g: &CsrGraph, group: &PoolGroup, st: &mut GroupState, hi: usize) {
     // by appends and drops its spare capacity at the end. Reserving here,
     // on the calling thread, keeps the arena out of the sampler workers'
     // allocator arenas: the workers that splice the blocks only grow it.
-    // Each block is dropped as soon as it is spliced.
     st.arena.reserve(hi - have, hi - have);
     for col in &mut st.weights {
         col.reserve_exact(hi - have);
+        col.resize(hi, 0.0);
     }
-    let GroupState { arena, weights, .. } = st;
     let ids = SetIds::Range(have as u64, hi as u64);
-    let columns = group.mixtures.len();
-    sample_weighted(
-        g,
-        &group.sampler,
-        &group.mixtures,
-        group.sample_seed,
-        ids,
-        |block| {
-            arena.append(&block.arena);
-            for (c, col) in weights.iter_mut().enumerate() {
-                col.extend(block.weights.iter().skip(c).step_by(columns));
-            }
-        },
-    );
-    arena.shrink_to_fit();
+    group.sample_weighted(g, ids, &mut st.arena, &mut st.weights);
+    st.arena.shrink_to_fit();
 }
 
-/// Samples the sets `ids` of the group stream `seed` through the reference
-/// sampler's parallel traced batch, with one importance weight per set and
-/// distinct mixture. Per decided slot, each mixture whose threshold `t`
-/// differs from the reference threshold `q` adds its log likelihood ratio
-/// to its accumulator; equal thresholds contribute factor 1 exactly and are
-/// skipped, which keeps an identical slot at zero rounding.
-fn sample_weighted(
-    g: &CsrGraph,
-    sampler: &PreparedSampler,
-    mixtures: &[Vec<f32>],
-    seed: u64,
-    ids: SetIds<'_>,
-    splice: impl FnMut(TracedBlock) + Send,
-) {
-    // INVARIANT: only TIC tenants ever get a mixture (`build`, pass 1), so
-    // a group with mixtures has a TIC reference sampler.
-    let shared = sampler.tic_table().expect("reweighted group must be TIC");
-    let on_decide = |slot: usize, q: u32, accepted: bool, acc: &mut [f64]| {
-        for (a, gamma) in acc.iter_mut().zip(mixtures) {
-            let t = threshold(shared.mixed_prob(slot, gamma));
-            if t == q {
-                continue;
+impl PoolGroup {
+    /// Samples the sets `ids` of the group stream through the reference
+    /// sampler's traced batch: appends them to `arena` in order and writes
+    /// set `id`'s importance weight under mixture `c` to `weights[c][id]`.
+    /// Each block is dropped as soon as it is spliced. Per decided slot,
+    /// each mixture whose threshold `t` differs from the reference
+    /// threshold `q` adds its log likelihood ratio to its accumulator;
+    /// equal thresholds contribute factor 1 exactly and are skipped, which
+    /// keeps an identical slot at zero rounding.
+    fn sample_weighted(
+        &self,
+        g: &CsrGraph,
+        ids: SetIds<'_>,
+        arena: &mut RrArena,
+        weights: &mut [Vec<f32>],
+    ) {
+        // INVARIANT: only TIC tenants ever get a mixture (`build`, pass 1),
+        // so a group with mixtures has a TIC reference sampler.
+        let shared = self
+            .sampler
+            .tic_table()
+            .expect("reweighted group must be TIC");
+        let mixtures = &self.mixtures;
+        let on_decide = |slot: usize, q: u32, accepted: bool, acc: &mut [f64]| {
+            for (a, gamma) in acc.iter_mut().zip(mixtures) {
+                let t = threshold(shared.mixed_prob(slot, gamma));
+                if t == q {
+                    continue;
+                }
+                // `accepted` implies `q > 0` (zero thresholds never consume
+                // a draw); `!accepted` implies `q < 2²⁴`. `t == 0` on an
+                // accepted slot gives ln 0 = −∞ and a clean weight of 0 for
+                // this set.
+                *a += if accepted {
+                    (f64::from(t) / f64::from(q)).ln()
+                } else {
+                    (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln()
+                };
             }
-            // `accepted` implies `q > 0` (zero thresholds never consume a
-            // draw); `!accepted` implies `q < 2²⁴`. `t == 0` on an accepted
-            // slot gives ln 0 = −∞ and a clean weight of 0 for this set.
-            *a += if accepted {
-                (f64::from(t) / f64::from(q)).ln()
-            } else {
-                (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln()
-            };
-        }
-    };
-    sampler.sample_traced(g, seed, ids, mixtures.len(), on_decide, splice);
+        };
+        let columns = mixtures.len();
+        let mut at = ids.iter();
+        let splice = |block: TracedBlock| {
+            arena.append(&block.arena);
+            // Chunks first: `zip` must not pull an id past the block.
+            for (set_w, id) in block.weights.chunks_exact(columns).zip(at.by_ref()) {
+                for (col, &w) in weights.iter_mut().zip(set_w) {
+                    col[id as usize] = w;
+                }
+            }
+        };
+        let seed = self.sample_seed;
+        self.sampler
+            .sample_traced(g, seed, ids, columns, on_decide, splice);
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! Random reverse-reachable set generation, generic over the diffusion
 //! model: Independent Cascade keeps each incoming edge independently, Linear
 //! Threshold walks one live in-edge per node (Kempe et al.'s live-edge
-//! equivalence). Both modes sample directly into an [`RrArena`] with no
-//! per-set heap allocation.
+//! equivalence), and the topic-aware TIC model runs the IC walk on
+//! probabilities mixed lazily from one shared per-topic table. All three
+//! sample directly into an [`RrArena`] with no per-set heap allocation, and
+//! every batch runs on one work-stealing block scheduler.
 
 // INVARIANT(indexing): all computed indices in this file are bounded by
 // construction — node ids come from the owning CsrGraph (< num_nodes) and
@@ -142,21 +144,27 @@ fn gather_slots(g: &CsrGraph, probs: &AdProbs) -> (Vec<InSlot>, Vec<f64>) {
             thr: threshold(probs.get(eid)),
         })
         .collect();
-    let skip_ln = (0..g.num_nodes() as NodeId)
+    let skip_ln = gather_skip_ln(g, |s| slots[s].thr);
+    (slots, skip_ln)
+}
+
+/// Per-node geometric-skip parameters (see [`gather_slots`]) over the
+/// in-slot thresholds `thr(slot)`.
+fn gather_skip_ln(g: &CsrGraph, thr: impl Fn(usize) -> u32) -> Vec<f64> {
+    (0..g.num_nodes() as NodeId)
         .map(|v| {
             let (lo, hi) = g.in_slot_range(v);
             if hi - lo < SKIP_MIN_DEGREE {
                 return f64::NAN;
             }
-            let thr = slots[lo].thr;
-            if slots[lo + 1..hi].iter().all(|s| s.thr == thr) {
-                (1.0 - f64::from(thr) / 16_777_216.0).ln()
+            let t = thr(lo);
+            if (lo + 1..hi).all(|s| thr(s) == t) {
+                (1.0 - f64::from(t) / 16_777_216.0).ln()
             } else {
                 f64::NAN
             }
         })
-        .collect();
-    (slots, skip_ln)
+        .collect()
 }
 
 /// Touches the lines a just-accepted node's expansion will need (its
@@ -282,39 +290,65 @@ fn sample_rr_set_into(
     width
 }
 
-/// Per-node geometric-skip parameters for a TIC mixture: `ln(1 − p^γ)` when
-/// every in-edge of the node mixes to the same acceptance threshold under
-/// `gamma` (always true for single-topic Weighted Cascade, and common under
-/// `TicModel::topical` where all of a node's in-edges share the WC base),
-/// `NAN` otherwise. This is the only per-ad state besides the mixture
-/// itself: O(n) floats, computed with one O(m·L) scan at prepare time — the
-/// shared table stays per-model.
-fn gather_tic_skip_ln(g: &CsrGraph, shared: &TicInSlots, gamma: &[f32]) -> Vec<f64> {
-    (0..g.num_nodes() as NodeId)
-        .map(|v| {
-            let (lo, hi) = g.in_slot_range(v);
-            if hi - lo < SKIP_MIN_DEGREE {
-                return f64::NAN;
-            }
-            let thr = threshold(shared.mixed_prob(lo, gamma));
-            if (lo + 1..hi).all(|s| threshold(shared.mixed_prob(s, gamma)) == thr) {
-                (1.0 - f64::from(thr) / 16_777_216.0).ln()
-            } else {
-                f64::NAN
-            }
-        })
-        .collect()
+/// A full 24-bit coin threshold: `next_coin() < COIN_FULL` always holds.
+pub(crate) const COIN_FULL: u32 = 1 << 24;
+
+/// Receives the live-edge decisions of a TIC walk
+/// ([`sample_tic_rr_set_into`]); a closure `(slot, thr, accepted)` is one.
+trait Trace {
+    /// False only for [`NoTrace`]: the walk then skips the bookkeeping that
+    /// only a trace reads.
+    const ON: bool = true;
+    fn decide(&mut self, slot: usize, thr: u32, accepted: bool);
 }
 
-/// Appends the TIC RR set of stream `set_seed` directly onto `arena`. Same
-/// BFS, draw pattern, and geometric-skip structure as [`sample_rr_set_into`],
-/// but each in-slot's acceptance threshold is computed **lazily** from the
-/// shared per-topic table and this ad's mixture — no flat per-ad threshold
-/// array exists. Because the mixing arithmetic is bit-identical to
-/// `TicModel::ad_probs` (see `rm_diffusion::mix_row`) and zero-probability
-/// slots consume no draw either way, a delta mixture on topic `z` produces
-/// arenas byte-identical to flat IC over the model's column `z`.
-fn sample_tic_rr_set_into(
+impl<F: FnMut(usize, u32, bool)> Trace for F {
+    #[inline]
+    fn decide(&mut self, slot: usize, thr: u32, accepted: bool) {
+        self(slot, thr, accepted)
+    }
+}
+
+/// The trace of an untraced walk.
+struct NoTrace;
+
+impl Trace for NoTrace {
+    const ON: bool = false;
+    #[inline]
+    fn decide(&mut self, _: usize, _: u32, _: bool) {}
+}
+
+/// Appends the TIC RR set of stream `set_seed` directly onto `arena` and
+/// returns its width. Same BFS, draw pattern, and geometric-skip structure
+/// as [`sample_rr_set_into`], but each in-slot's acceptance threshold is
+/// computed **lazily** from the shared per-topic table and this ad's
+/// mixture — no flat per-ad threshold array exists. Because the mixing
+/// arithmetic is bit-identical to `TicModel::ad_probs` (see
+/// `rm_diffusion::mix_row`) and zero-probability slots consume no draw
+/// either way, a delta mixture on topic `z` produces arenas byte-identical
+/// to flat IC over the model's column `z`.
+///
+/// `trace.decide(slot, thr, accepted)` fires once per in-slot whose
+/// live/blocked outcome this set's trajectory determined, with `thr` the
+/// slot's acceptance threshold under `gamma` — the raw material of the
+/// shared pool's importance reweighting (`crate::pool`). Tracing never
+/// perturbs the RNG stream, so traced and untraced walks (and pooled and
+/// private arenas) are bit-identical.
+///
+/// Decision coverage:
+/// * per-edge path: one decision per unvisited-source slot with a positive
+///   threshold (`thr == 0` consumes no draw and is a deterministic failure —
+///   the pool's support check guarantees every tenant agrees);
+/// * geometric-skip path: each jump decides every slot from the current
+///   position through the landing — gap slots failed, the landing accepted;
+///   an overshoot (`j ≥ m`) means all remaining slots failed. Every slot of
+///   a skip node mixes to the same threshold (that is what enables the
+///   path), so `thr` is mixed once per node visit, and only when tracing.
+///   Slots whose source is already visited still get their decision (their
+///   draw is burnt either way), which is harmless: their outcome cannot
+///   change the set, and their weight ratio has mean 1 under the reference.
+#[allow(clippy::too_many_arguments)]
+fn sample_tic_rr_set_into<T: Trace>(
     g: &CsrGraph,
     shared: &TicInSlots,
     gamma: &[f32],
@@ -322,6 +356,7 @@ fn sample_tic_rr_set_into(
     ws: &mut RrWorkspace,
     set_seed: u64,
     arena: &mut RrArena,
+    trace: &mut T,
 ) -> u64 {
     let n = g.num_nodes();
     debug_assert!(n > 0, "cannot sample from an empty graph");
@@ -347,13 +382,25 @@ fn sample_tic_rr_set_into(
             // edge; accepted-but-visited edges burn their draw, preserving
             // the per-edge distribution).
             let nl = skip_ln[v as usize];
+            let thr = if T::ON {
+                threshold(shared.mixed_prob(lo, gamma))
+            } else {
+                0
+            };
             let mut j = 0usize;
             loop {
                 let u = rng.next_f64();
-                j += ((1.0 - u).ln() / nl) as usize;
+                let land = j + ((1.0 - u).ln() / nl) as usize;
+                if T::ON {
+                    for t in j..land.min(m) {
+                        trace.decide(lo + t, thr, false);
+                    }
+                }
+                j = land;
                 if j >= m {
                     break;
                 }
+                trace.decide(lo + j, thr, true);
                 let s = src[lo + j];
                 if ws.mark[s as usize] != ws.epoch {
                     ws.mark[s as usize] = ws.epoch;
@@ -370,98 +417,9 @@ fn sample_tic_rr_set_into(
                 // path. `thr == 0` must not consume a draw, matching
                 // `sample_rr_set_into`.
                 let thr = threshold(shared.mixed_prob(j, gamma));
-                if thr > 0 && rng.next_coin() < thr {
-                    ws.mark[s as usize] = ws.epoch;
-                    arena.nodes.push(s);
-                }
-            }
-        }
-    }
-    arena.offsets.push(arena.nodes.len() as u64);
-    width
-}
-
-/// A full 24-bit coin threshold: `next_coin() < COIN_FULL` always holds.
-pub(crate) const COIN_FULL: u32 = 1 << 24;
-
-/// [`sample_tic_rr_set_into`] with a **trace** of every per-slot live-edge
-/// decision, the raw material of the shared pool's importance reweighting
-/// (`crate::pool`): `on_decide(slot, thr, accepted)` fires once per in-slot
-/// whose live/blocked outcome this set's trajectory determined, with `thr`
-/// the slot's acceptance threshold under `gamma`. Tracing never perturbs the
-/// RNG stream — the function is draw-for-draw identical to the untraced
-/// sampler, so pooled arenas stay bit-identical to private ones.
-///
-/// Decision coverage, matching the untraced control flow exactly:
-/// * per-edge path: one decision per unvisited-source slot with a positive
-///   threshold (`thr == 0` consumes no draw and is a deterministic failure —
-///   the pool's support check guarantees every tenant agrees);
-/// * geometric-skip path: each jump decides every slot from the current
-///   position through the landing — gap slots failed, the landing accepted;
-///   an overshoot (`j ≥ m`) means all remaining slots failed. Every slot of
-///   a skip node mixes to the same threshold (that is what enables the
-///   path), so `thr` is mixed once per node visit. Slots whose
-///   source is already visited still get their decision (their draw is burnt
-///   either way), which is harmless: their outcome cannot change the set,
-///   and their weight ratio has mean 1 under the reference.
-#[allow(clippy::too_many_arguments)]
-fn sample_tic_rr_set_into_traced(
-    g: &CsrGraph,
-    shared: &TicInSlots,
-    gamma: &[f32],
-    skip_ln: &[f64],
-    ws: &mut RrWorkspace,
-    set_seed: u64,
-    arena: &mut RrArena,
-    mut on_decide: impl FnMut(usize, u32, bool),
-) {
-    let n = g.num_nodes();
-    debug_assert!(n > 0, "cannot sample from an empty graph");
-    let mut rng = SplitMix64::new(set_seed);
-    ws.begin();
-    let root = (rng.next_u64() % n as u64) as NodeId;
-    ws.mark[root as usize] = ws.epoch;
-    let start = arena.nodes.len();
-    arena.nodes.push(root);
-    let src = shared.sources();
-
-    let mut i = start;
-    while i < arena.nodes.len() {
-        let v = arena.nodes[i];
-        i += 1;
-        let (lo, hi) = g.in_slot_range(v);
-        let m = hi - lo;
-        if m >= SKIP_MIN_DEGREE && skip_ln[v as usize] < 0.0 {
-            let nl = skip_ln[v as usize];
-            let thr = threshold(shared.mixed_prob(lo, gamma));
-            let mut j = 0usize;
-            loop {
-                let u = rng.next_f64();
-                let land = j + ((1.0 - u).ln() / nl) as usize;
-                for t in j..land.min(m) {
-                    on_decide(lo + t, thr, false);
-                }
-                j = land;
-                if j >= m {
-                    break;
-                }
-                on_decide(lo + j, thr, true);
-                let s = src[lo + j];
-                if ws.mark[s as usize] != ws.epoch {
-                    ws.mark[s as usize] = ws.epoch;
-                    arena.nodes.push(s);
-                }
-                j += 1;
-            }
-        } else {
-            for (j, &s) in src.iter().enumerate().take(hi).skip(lo) {
-                if ws.mark[s as usize] == ws.epoch {
-                    continue;
-                }
-                let thr = threshold(shared.mixed_prob(j, gamma));
                 if thr > 0 {
                     let accepted = rng.next_coin() < thr;
-                    on_decide(j, thr, accepted);
+                    trace.decide(j, thr, accepted);
                     if accepted {
                         ws.mark[s as usize] = ws.epoch;
                         arena.nodes.push(s);
@@ -471,6 +429,7 @@ fn sample_tic_rr_set_into_traced(
         }
     }
     arena.offsets.push(arena.nodes.len() as u64);
+    width
 }
 
 /// One in-slot record of the LT sampling tables: Walker-alias acceptance
@@ -672,7 +631,9 @@ impl Tables {
                 shared,
                 gamma,
                 skip_ln,
-            } => sample_tic_rr_set_into(g, shared, gamma, skip_ln, ws, set_seed, arena),
+            } => {
+                sample_tic_rr_set_into(g, shared, gamma, skip_ln, ws, set_seed, arena, &mut NoTrace)
+            }
         }
     }
 
@@ -712,12 +673,15 @@ impl<'a> SetIds<'a> {
             SetIds::List(ids) => ids[k] as u64,
         })
     }
+
+    /// Every global index of the batch, in order.
+    pub(crate) fn iter(self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        self.block(0, self.len())
+    }
 }
 
 /// Samples the global set indices `ids` (stream base `base`), in order, into
-/// a fresh arena, reusing `ws` across calls — the visited array is O(n), so
-/// it must be per-worker state, not per-block (at n = 10⁷ a fresh workspace
-/// per block would zero 10 MB every thousand sets).
+/// a fresh arena, with their widths.
 fn sample_ids(
     g: &CsrGraph,
     tables: &Tables,
@@ -741,79 +705,43 @@ fn sample_ids(
     (arena, widths)
 }
 
-/// Runs `sample(lo, hi, ws)` over the blocks of `0..count` on `threads`
-/// workers and returns the results in block order. Workers pull fixed-size
-/// blocks off a shared atomic cursor (work-stealing — a straggler core
-/// strands at most one block) and each owns one [`RrWorkspace`] for its
-/// whole share. One worker skips the spawn and takes `0..count` as a single
-/// block.
+/// When [`steal_blocks`] hands a parallel call's finished blocks to its
+/// consumer. Either way the consumer sees every block once, in block order.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Handoff {
+    /// As they finish: the worker that finishes the next block in order
+    /// consumes it, and any finished blocks queued behind it, under a lock,
+    /// so only the blocks finished ahead of the consumer are held at once.
+    Streamed,
+    /// On the calling thread, once every block is done. Each worker holds
+    /// its own finished blocks until then.
+    Joined,
+}
+
+/// The one block scheduler of every sampling call: runs `sample(lo, hi, ws)`
+/// over the `block`-set blocks of `0..count` on `threads` workers and hands
+/// each result to `consume` in block order, as `handoff` says.
+///
+/// Workers pull blocks off a shared atomic cursor (work-stealing — a
+/// straggler core strands at most one block), and each owns one
+/// [`RrWorkspace`] for its whole share: the visited array is O(n), so it is
+/// per-worker state, not per-block (at n = 10⁷ a fresh workspace per block
+/// would zero 10 MB every thousand sets). Per-set seeds depend only on the
+/// global set index, never on which worker sampled it, so the consumed
+/// sequence is bit-identical at any worker count. One worker runs the
+/// blocks in order on the calling thread, consuming each as it finishes.
 fn steal_blocks<T: Send>(
     n: usize,
     count: usize,
+    block: usize,
     threads: usize,
-    sample: impl Fn(usize, usize, &mut RrWorkspace) -> T + Sync,
-) -> Vec<T> {
-    if threads <= 1 {
-        return vec![sample(0, count, &mut RrWorkspace::new(n))];
-    }
-    let nblocks = count.div_ceil(STEAL_BLOCK);
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let mut parts: Vec<(usize, T)> = Vec::with_capacity(nblocks);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (cursor, sample) = (&cursor, &sample);
-                scope.spawn(move || {
-                    let mut ws = RrWorkspace::new(n);
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let b = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if b >= nblocks {
-                            break;
-                        }
-                        let lo = b * STEAL_BLOCK;
-                        let hi = (lo + STEAL_BLOCK).min(count);
-                        local.push((b, sample(lo, hi, &mut ws)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            // INVARIANT: a sampler-worker panic leaves the batch
-            // incomplete; propagating is the only sound response.
-            parts.extend(handle.join().expect("sampler worker panicked"));
-        }
-    });
-    // Sort the blocks back into index order — this is the determinism
-    // argument: any partition of 0..count, sorted back by block id,
-    // concatenates to the same arena the sequential path produces.
-    parts.sort_unstable_by_key(|p| p.0);
-    debug_assert!(
-        parts.len() == nblocks && parts.iter().enumerate().all(|(i, p)| p.0 == i),
-        "steal cursor must hand out each block exactly once"
-    );
-    parts.into_iter().map(|p| p.1).collect()
-}
-
-/// [`steal_blocks`] that hands each result to `consume` in block order as
-/// the blocks complete, instead of returning them all: the worker that
-/// finishes the next block in order consumes it, and any finished blocks
-/// queued behind it, under a lock. Only the blocks finished ahead of the
-/// splice point are held at once, never the whole batch. One worker runs
-/// the blocks in order on the calling thread.
-///
-/// The untraced batches keep [`steal_blocks`]: streaming them read a
-/// higher peak RSS on the private-stream `serve-churn` workload.
-fn steal_blocks_streamed<T: Send>(
-    n: usize,
-    count: usize,
-    threads: usize,
+    handoff: Handoff,
     sample: impl Fn(usize, usize, &mut RrWorkspace) -> T + Sync,
     mut consume: impl FnMut(T) + Send,
 ) {
-    let nblocks = count.div_ceil(STEAL_BLOCK);
-    let bounds = |b: usize| (b * STEAL_BLOCK, ((b + 1) * STEAL_BLOCK).min(count));
+    debug_assert!(block > 0, "blocks must hold at least one set");
+    let nblocks = count.div_ceil(block);
+    let bounds = |b: usize| (b * block, ((b + 1) * block).min(count));
     if threads <= 1 {
         let mut ws = RrWorkspace::new(n);
         for b in 0..nblocks {
@@ -826,33 +754,56 @@ fn steal_blocks_streamed<T: Send>(
     // The next block to consume, the finished blocks queued behind it,
     // and the consumer.
     let splice = std::sync::Mutex::new((0usize, std::collections::BTreeMap::new(), consume));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (cursor, sample, bounds, splice) = (&cursor, &sample, &bounds, &splice);
-            scope.spawn(move || {
-                let mut ws = RrWorkspace::new(n);
-                loop {
-                    let b = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if b >= nblocks {
-                        break;
+    let mut held: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let (cursor, sample, bounds, splice) = (&cursor, &sample, &bounds, &splice);
+                scope.spawn(move || {
+                    let mut ws = RrWorkspace::new(n);
+                    let mut held = Vec::new();
+                    loop {
+                        let b = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if b >= nblocks {
+                            break;
+                        }
+                        let (lo, hi) = bounds(b);
+                        let part = sample(lo, hi, &mut ws);
+                        if handoff == Handoff::Joined {
+                            held.push((b, part));
+                            continue;
+                        }
+                        // INVARIANT: poisoning means a sibling panicked
+                        // while consuming; the batch is lost, so propagate.
+                        let mut guard = splice.lock().expect("sampler splice lock poisoned");
+                        let (next, ahead, consume) = &mut *guard;
+                        ahead.insert(b, part);
+                        while let Some(part) = ahead.remove(next) {
+                            consume(part);
+                            *next += 1;
+                        }
                     }
-                    let (lo, hi) = bounds(b);
-                    let part = sample(lo, hi, &mut ws);
-                    // INVARIANT: poisoning means a sibling panicked while
-                    // consuming; the batch is lost, so propagate.
-                    let mut guard = splice.lock().expect("sampler splice lock poisoned");
-                    let (next, ahead, consume) = &mut *guard;
-                    ahead.insert(b, part);
-                    while let Some(part) = ahead.remove(next) {
-                        consume(part);
-                        *next += 1;
-                    }
-                }
-            });
-        }
+                    held
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            // INVARIANT: a sampler-worker panic leaves the batch
+            // incomplete; propagating is the only sound response.
+            .flat_map(|w| w.join().expect("sampler worker panicked"))
+            .collect()
     });
-    debug_assert!(
-        splice.lock().is_ok_and(|sp| sp.0 == nblocks),
+    held.sort_unstable_by_key(|p| p.0);
+    // INVARIANT: every worker has been joined, so no lock holder panicked
+    // unnoticed.
+    let (mut next, _, mut consume) = splice.into_inner().expect("sampler splice lock poisoned");
+    for (b, part) in held {
+        debug_assert_eq!(b, next, "blocks must be consumed in order");
+        consume(part);
+        next += 1;
+    }
+    debug_assert_eq!(
+        next, nblocks,
         "steal cursor must hand out each block exactly once"
     );
 }
@@ -871,15 +822,16 @@ pub(crate) struct TracedBlock {
 pub use rm_graph::seed::{mix64, stream_seed};
 
 /// Sets per work-stealing block. Large enough that the atomic cursor bump
-/// (one `fetch_add` per block) is noise next to sampling a thousand sets,
-/// small enough that a straggler worker holds at most one block's worth of
-/// tail latency — the static even split this replaces could strand half a
-/// batch behind one slow core.
+/// and the splice lock (once each per block) are noise next to sampling a
+/// thousand sets, small enough that a straggler worker holds at most one
+/// block's worth of tail latency.
 const STEAL_BLOCK: usize = 1024;
 
 /// Sampling tables prepared once per `(graph, model)` pair: IC gathers
 /// in-slot-ordered integer acceptance thresholds plus per-node
-/// geometric-skip parameters; LT gathers per-node Walker alias tables.
+/// geometric-skip parameters; LT gathers per-node Walker alias tables; TIC
+/// keeps the model's shared per-topic table plus this ad's mixture and
+/// per-node geometric-skip parameters.
 /// Callers that grow a sample incrementally — the engine adds batches every
 /// latent-size update — should prepare once and reuse, instead of paying
 /// the `O(n + m)` gather per batch.
@@ -893,11 +845,7 @@ impl PreparedSampler {
     /// Gathers Independent-Cascade sampling tables for `probs` on `g`.
     pub fn new(g: &CsrGraph, probs: &AdProbs) -> Self {
         let (slots, skip_ln) = gather_slots(g, probs);
-        PreparedSampler {
-            tables: Tables::Ic { slots, skip_ln },
-            thread_cap: usize::MAX,
-            thread_count: None,
-        }
+        Self::with_tables(Tables::Ic { slots, skip_ln })
     }
 
     /// Gathers the sampling tables for an arbitrary diffusion model on `g`.
@@ -908,29 +856,34 @@ impl PreparedSampler {
             DiffusionModel::IndependentCascade(probs) => Self::new(g, probs),
             DiffusionModel::LinearThreshold(weights) => {
                 let (slots, pick_thr) = gather_lt_tables(g, weights);
-                PreparedSampler {
-                    tables: Tables::Lt { slots, pick_thr },
-                    thread_cap: usize::MAX,
-                    thread_count: None,
-                }
+                Self::with_tables(Tables::Lt { slots, pick_thr })
             }
             DiffusionModel::Tic { tic, gamma } => {
                 // All h per-ad samplers of one instance share the same
                 // in-slot table (cached inside the `TicModel`); only the
                 // L-float mixture and the O(n) skip parameters are per-ad.
+                // A node's skip parameter is `NAN` unless every in-edge
+                // mixes to the same threshold (always true for single-topic
+                // Weighted Cascade, and common under `TicModel::topical`,
+                // where a node's in-edges share the WC base).
                 let shared = tic.in_slot_view(g);
                 let gamma = gamma.weights().to_vec();
-                let skip_ln = gather_tic_skip_ln(g, &shared, &gamma);
-                PreparedSampler {
-                    tables: Tables::Tic {
-                        shared,
-                        gamma,
-                        skip_ln,
-                    },
-                    thread_cap: usize::MAX,
-                    thread_count: None,
-                }
+                let skip_ln = gather_skip_ln(g, |s| threshold(shared.mixed_prob(s, &gamma)));
+                Self::with_tables(Tables::Tic {
+                    shared,
+                    gamma,
+                    skip_ln,
+                })
             }
+        }
+    }
+
+    /// A sampler over `tables` with no thread cap or forced count.
+    fn with_tables(tables: Tables) -> Self {
+        PreparedSampler {
+            tables,
+            thread_cap: usize::MAX,
+            thread_count: None,
         }
     }
 
@@ -986,17 +939,10 @@ impl PreparedSampler {
     /// stored flat in an [`RrArena`].
     ///
     /// Set `j` of a call with base seed `s` is always generated from the RNG
-    /// stream [`stream_seed`]`(s, j)`, so results are reproducible across
-    /// thread counts. `first_index` offsets `j`, letting incremental growth
-    /// of a sample continue the same logical sequence.
-    ///
-    /// Workers pull fixed-size index blocks off a shared atomic cursor
-    /// (work-stealing — a straggler core strands at most one block, where the
-    /// old static split could strand `count / threads` sets), sampling each
-    /// block into a private arena. The blocks are then spliced in index
-    /// order: per-set seeds depend only on the global set index, never on
-    /// which worker sampled it, so the result is bit-identical at **any**
-    /// thread count, forced or detected.
+    /// stream [`stream_seed`]`(s, j)`, so the result is bit-identical at
+    /// **any** thread count, forced or detected. `first_index` offsets `j`,
+    /// letting incremental growth of a sample continue the same logical
+    /// sequence.
     pub fn sample_batch(
         &self,
         g: &CsrGraph,
@@ -1004,28 +950,55 @@ impl PreparedSampler {
         seed: u64,
         first_index: u64,
     ) -> (RrArena, Vec<u64>) {
+        let ids = SetIds::Range(first_index, first_index + count as u64);
+        self.sample_sets(g, seed, ids)
+    }
+
+    /// Samples the RR sets at the global set indices `ids` (in the given
+    /// order) of the stream with base seed `seed`: set `ids[k]` is
+    /// bit-identical to what `sample_batch(g, 1, seed, ids[k])` returns,
+    /// because per-set seeds depend only on the global index. This is the
+    /// graph-delta repair entry point: one call resamples an arbitrary
+    /// sparse list on the same blocks as [`Self::sample_batch`].
+    pub(crate) fn sample_indices(&self, g: &CsrGraph, seed: u64, ids: &[usize]) -> RrArena {
+        self.sample_sets(g, seed, SetIds::List(ids)).0
+    }
+
+    /// The batch body of [`Self::sample_batch`] and [`Self::sample_indices`]:
+    /// samples the sets `ids` of stream `seed` into one arena, with their
+    /// widths. One worker samples the whole call as a single block, straight
+    /// into the returned arena. Several workers sample
+    /// [`STEAL_BLOCK`]-set blocks into arenas of their own, and the calling
+    /// thread splices them once every block is done: on `serve-churn`, a
+    /// [`Handoff::Streamed`] hand-off read about a fifth higher peak RSS,
+    /// even with a consumer that only collected the blocks.
+    fn sample_sets(&self, g: &CsrGraph, seed: u64, ids: SetIds<'_>) -> (RrArena, Vec<u64>) {
         debug_assert_eq!(
             self.tables.num_slots(),
             g.num_edges(),
             "sampler prepared on a different graph"
         );
+        let count = ids.len();
         if count == 0 || g.num_nodes() == 0 {
             let mut arena = RrArena::new();
             arena.push_empty_sets(count);
             return (arena, vec![0u64; count]);
         }
         let base = mix64(seed);
-        let parts = steal_blocks(
+        let threads = self.worker_count(count);
+        let block = if threads <= 1 { count } else { STEAL_BLOCK };
+        let mut parts = Vec::with_capacity(count.div_ceil(block));
+        steal_blocks(
             g.num_nodes(),
             count,
-            self.worker_count(count),
-            |lo, hi, ws| {
-                let ids = (lo..hi).map(|i| first_index + i as u64);
-                sample_ids(g, &self.tables, base, ids, ws)
-            },
+            block,
+            threads,
+            Handoff::Joined,
+            |lo, hi, ws| sample_ids(g, &self.tables, base, ids.block(lo, hi), ws),
+            |part| parts.push(part),
         );
         let parts = match <[_; 1]>::try_from(parts) {
-            Ok([sequential]) => return sequential,
+            Ok([whole]) => return whole,
             Err(parts) => parts,
         };
         let mut arena = RrArena::with_capacity(count, 2 * count);
@@ -1035,38 +1008,6 @@ impl PreparedSampler {
             widths.extend(part_widths);
         }
         (arena, widths)
-    }
-
-    /// Samples the RR sets at the global set indices `ids` (in the given
-    /// order) of the stream with base seed `seed`: set `ids[k]` is
-    /// bit-identical to what `sample_batch(g, 1, seed, ids[k])` returns,
-    /// because per-set seeds depend only on the global index. This is the
-    /// graph-delta repair entry point — one call resamples an arbitrary
-    /// sparse list with the same work-stealing blocks and one
-    /// [`RrWorkspace`] per worker as [`Self::sample_batch`], instead of one
-    /// workspace and one thread-count lookup per set.
-    pub fn sample_indices(&self, g: &CsrGraph, seed: u64, ids: &[usize]) -> RrArena {
-        if ids.is_empty() || g.num_nodes() == 0 {
-            let mut arena = RrArena::new();
-            arena.push_empty_sets(ids.len());
-            return arena;
-        }
-        let base = mix64(seed);
-        let mut parts = steal_blocks(
-            g.num_nodes(),
-            ids.len(),
-            self.worker_count(ids.len()),
-            |lo, hi, ws| {
-                let block = ids[lo..hi].iter().map(|&i| i as u64);
-                sample_ids(g, &self.tables, base, block, ws).0
-            },
-        )
-        .into_iter();
-        let mut arena = parts.next().unwrap_or_default();
-        for part in parts {
-            arena.append(&part);
-        }
-        arena
     }
 
     /// Graph-delta repair of one retained stream: resamples — in place,
@@ -1094,16 +1035,15 @@ impl PreparedSampler {
     /// [`Self::sample_indices`] at the same indices — and gives each set
     /// `columns` importance weights: `on_decide(slot, thr, accepted, acc)`
     /// fires once per in-slot the set's trajectory decided (see
-    /// [`sample_tic_rr_set_into_traced`]), with `thr` the slot's threshold
-    /// under this sampler's mixture, and adds log-ratio terms to the set's
+    /// [`sample_tic_rr_set_into`]), with `thr` the slot's threshold under
+    /// this sampler's mixture, and adds log-ratio terms to the set's
     /// `columns` f64 accumulators; each weight is the `exp` of its own
     /// per-set sum, rounded once to `f32`.
     ///
-    /// Runs on [`Self::sample_batch`]'s work-stealing blocks with one
-    /// [`RrWorkspace`] and one weight buffer per worker, and hands the
-    /// blocks to `splice` in index order as they complete — sets and
-    /// weights depend only on the global set index, so the spliced result
-    /// is bit-identical at any worker count. Only TIC samplers trace.
+    /// Hands [`STEAL_BLOCK`]-set blocks to `splice` in index order as they
+    /// complete, at every worker count — one worker included — so only the
+    /// blocks finished ahead of the splice point are held at once, never
+    /// the whole batch. Only TIC samplers trace.
     pub(crate) fn sample_traced(
         &self,
         g: &CsrGraph,
@@ -1130,17 +1070,19 @@ impl PreparedSampler {
             return;
         }
         let base = mix64(seed);
-        steal_blocks_streamed(
+        steal_blocks(
             g.num_nodes(),
             ids.len(),
+            STEAL_BLOCK,
             self.worker_count(ids.len()),
+            Handoff::Streamed,
             |lo, hi, ws| {
                 let count = hi - lo;
                 let mut arena = RrArena::with_capacity(count, 2 * count);
                 let mut weights = Vec::with_capacity(count * columns);
                 let mut acc = vec![0.0f64; columns];
                 for idx in ids.block(lo, hi) {
-                    sample_tic_rr_set_into_traced(
+                    sample_tic_rr_set_into(
                         g,
                         shared,
                         gamma,
@@ -1148,7 +1090,7 @@ impl PreparedSampler {
                         ws,
                         mix64(base ^ idx),
                         &mut arena,
-                        |slot, thr, accepted| on_decide(slot, thr, accepted, &mut acc),
+                        &mut |slot, thr, accepted| on_decide(slot, thr, accepted, &mut acc),
                     );
                     weights.extend(acc.iter().map(|a| a.exp() as f32));
                     acc.fill(0.0);
@@ -1278,20 +1220,31 @@ mod tests {
     fn forced_thread_counts_are_bit_identical() {
         // 2500 sets span three steal blocks (1024, 1024, 452 — an uneven
         // tail): any forced worker count must pull blocks off the cursor and
-        // splice back to exactly the sequential arena. This exercises the
-        // work-stealing path even on single-core machines, where hardware
-        // detection alone would never leave the `threads == 1` fast path.
-        let g = chain();
-        let probs = AdProbs::from_vec(vec![0.5; 3]);
-        let mut s = PreparedSampler::new(&g, &probs);
-        s.set_thread_count(1);
-        let (want, want_w) = s.sample_batch(&g, 2500, 9, 0);
-        assert_eq!(want.len(), 2500);
-        for t in [2, 3, 5, 8] {
-            s.set_thread_count(t);
-            let (got, got_w) = s.sample_batch(&g, 2500, 9, 0);
-            assert_eq!(got, want, "arena differs at {t} forced workers");
-            assert_eq!(got_w, want_w, "widths differ at {t} forced workers");
+        // splice back to exactly the sequential arena and widths. This
+        // exercises the work-stealing path even on single-core machines,
+        // where hardware detection alone would never leave the
+        // `threads == 1` fast path. Inputs: the IC chain, and IC, LT and TIC
+        // on the star-chain graph, whose in-star takes the geometric-skip
+        // path (the TIC widths feed the KPT pilot).
+        let chain_g = chain();
+        let star_g = graph_from_edges(23, &star_chain_edges());
+        let chain_ic = DiffusionModel::ic(AdProbs::from_vec(vec![0.5; 3]));
+        let inputs = std::iter::once((&chain_g, chain_ic))
+            .chain(three_models(&star_g).into_iter().map(|m| (&star_g, m)));
+        for (i, (g, model)) in inputs.enumerate() {
+            let mut s = PreparedSampler::for_model(g, &model);
+            s.set_thread_count(1);
+            let (want, want_w) = s.sample_batch(g, 2500, 9, 0);
+            assert_eq!(want.len(), 2500);
+            for t in [2, 3, 5, 8] {
+                s.set_thread_count(t);
+                let (got, got_w) = s.sample_batch(g, 2500, 9, 0);
+                assert_eq!(got, want, "input {i}: arena differs at {t} forced workers");
+                assert_eq!(
+                    got_w, want_w,
+                    "input {i}: widths differ at {t} forced workers"
+                );
+            }
         }
     }
 
