@@ -97,9 +97,7 @@ fn bench_selection_rounds(c: &mut Criterion) {
         8000
     }));
     group.sample_size(if quick { 2 } else { 10 });
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let hw = rm_graph::par::available_cores();
     // On hosts with ≤ 2 cores the hardware arm coincides with threads-2;
     // don't register (and pay for) the same configuration twice.
     let mut arms = vec![1usize, 2];

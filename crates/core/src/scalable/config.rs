@@ -95,8 +95,9 @@ pub struct ScalableConfig {
     pub sampler_threads: usize,
     /// Worker threads for the per-round cross-advertiser selection fan-out
     /// (candidate refresh and window repair). `usize::MAX` = hardware
-    /// parallelism; explicit values are honored even past the core count so
-    /// tests can exercise the parallel path on any machine. Results are
+    /// parallelism; explicit values are honored even past the core count
+    /// (up to `rm_graph::par::MAX_WORKERS`) so tests can exercise the
+    /// parallel path on any machine. Results are
     /// bit-identical for every value — candidates are evaluated against an
     /// immutable snapshot of the assigned bitmap and a sequential arbiter
     /// picks the winner — so, like [`Self::sampler_threads`], this only

@@ -7,8 +7,8 @@
 //!
 //! 1. **Refresh** — candidate evaluation (`select_candidate`: window
 //!    repair against the lazy heap, eager fallback) for every live ad
-//!    whose cached proposal a previous commit invalidated, fanned out
-//!    across scoped worker threads against an immutable snapshot of the
+//!    whose cached proposal a previous commit invalidated, one job per ad
+//!    through `rm_graph::par` against an immutable snapshot of the
 //!    `assigned` bitmap. Unaffected ads keep their cached proposal:
 //!    nothing the selection read has changed, so re-running it would
 //!    reproduce the proposal bit-for-bit.
@@ -40,6 +40,7 @@
 // Telemetry only: wall_ms never influences selection. rm-lint: allow(wallclock-in-results)
 use std::time::Instant;
 
+use rm_graph::par::{available_cores, par_map_ordered};
 use rm_graph::NodeId;
 use rm_rrsets::{LazyGreedyHeap, RrCoverage, SharedRrPool};
 
@@ -49,7 +50,7 @@ use crate::metrics::RunStats;
 
 use super::ad_state::{AdState, Candidate};
 use super::config::{AlgorithmKind, ScalableConfig, ScalableConfigError, Window};
-use super::epoch::{available_cores, EngineCtx, BUDGET_EPS, COST_FLOOR};
+use super::epoch::{EngineCtx, BUDGET_EPS, COST_FLOOR};
 use super::resident::ResidentEngine;
 
 /// The one-shot batch engine. Construct once per run; [`TiEngine::run`] is
@@ -105,9 +106,12 @@ impl<'a> TiEngine<'a> {
 impl EngineCtx<'_> {
     /// Phase 1 of a round: (re-)evaluates the candidate of every live ad
     /// that lacks one — the ads whose proposal the previous commit
-    /// invalidated, plus everyone on the first round — fanned out across
-    /// scoped workers against the immutable `assigned` snapshot. An ad with
-    /// no remaining candidate is retired exactly as in the sequential loop.
+    /// invalidated, plus everyone on the first round — one job per ad
+    /// ([`par_map_ordered`]) against the immutable `assigned` snapshot. An
+    /// ad with no remaining candidate is retired exactly as in the
+    /// sequential loop. Each job returns its evaluation count, and the
+    /// counts are summed in ad order, so the totals are the same at every
+    /// worker count.
     pub(crate) fn refresh_candidates(
         &self,
         ads: &mut [Option<AdState>],
@@ -121,13 +125,14 @@ impl EngineCtx<'_> {
             .filter(|st| !st.exhausted && st.candidate.is_none())
             .collect();
         let threads = pool.threads_for(jobs.len(), self.selection_job_cost());
-        self.for_each_ad(jobs, threads, stats, |st, scratch| {
-            scratch.candidate_refreshes += 1;
-            st.candidate = self.select_candidate(st, assigned, scratch);
-            if st.candidate.is_none() {
-                st.exhausted = true;
-            }
+        stats.candidate_refreshes += jobs.len() as u64;
+        let evaluations = par_map_ordered(jobs, threads, |st| {
+            let (candidate, evaluations) = self.select_candidate(st, assigned);
+            st.exhausted = candidate.is_none();
+            st.candidate = candidate;
+            evaluations
         });
+        stats.candidate_evaluations += evaluations.iter().sum::<u64>();
     }
 
     /// Phase 3 of a round: the winner commits (seed bookkeeping, coverage
@@ -264,8 +269,9 @@ impl EngineCtx<'_> {
     /// (`selection_threads == usize::MAX`) caps at hardware parallelism and
     /// gates tiny rounds to run inline — spawning scoped workers for a
     /// handful of heap pops costs more than the pops. An explicit thread
-    /// count is honored verbatim (even past the core count, ungated), so
-    /// tests exercise the parallel path deterministically on any machine.
+    /// count is honored (even past the core count, up to the fan-out's
+    /// worker cap, ungated), so tests exercise the parallel path
+    /// deterministically on any machine.
     pub(crate) fn selection_policy(&self) -> SelectionPolicy {
         if self.cfg.selection_threads == usize::MAX {
             SelectionPolicy {
@@ -293,65 +299,6 @@ impl EngineCtx<'_> {
             Some((KeyKind::WindowedRatio, w)) => w,
             Some(_) => 32,
         }
-    }
-
-    /// Runs `work` over disjoint `&mut AdState` jobs, fanned out across up
-    /// to `threads` scoped workers in contiguous chunks. Each worker
-    /// accumulates statistics into its own scratch [`RunStats`]; scratches
-    /// merge into `stats` in chunk order, and every counter the workers
-    /// touch is a per-ad sum, so the totals are identical to the
-    /// sequential pass for every worker count.
-    fn for_each_ad<F>(
-        &self,
-        mut jobs: Vec<&mut AdState>,
-        threads: usize,
-        stats: &mut RunStats,
-        work: F,
-    ) where
-        F: Fn(&mut AdState, &mut RunStats) + Sync,
-    {
-        if threads <= 1 || jobs.len() <= 1 {
-            for st in jobs {
-                work(st, stats);
-            }
-            return;
-        }
-        let chunk = jobs.len().div_ceil(threads);
-        let work = &work;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .chunks_mut(chunk)
-                .map(|batch| {
-                    scope.spawn(move || {
-                        let mut scratch = RunStats::default();
-                        for st in batch.iter_mut() {
-                            work(st, &mut scratch);
-                        }
-                        scratch
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // INVARIANT: a worker panic is unrecoverable corruption of
-                // the round; propagating it is the only sound response.
-                let mut scratch = handle.join().expect("selection worker panicked");
-                // The only stats the refresh closure touches; extend this
-                // merge when a worker-side closure grows a counter.
-                stats.candidate_evaluations += scratch.candidate_evaluations;
-                stats.candidate_refreshes += scratch.candidate_refreshes;
-                // Structural guard on the allowlist above: a worker closure
-                // growing any *other* counter would be silently dropped here
-                // while the threads=1 inline path counted it — breaking
-                // thread-count invariance only on multi-core runs.
-                scratch.candidate_evaluations = 0;
-                scratch.candidate_refreshes = 0;
-                debug_assert_eq!(
-                    scratch,
-                    RunStats::default(),
-                    "worker scratch touched a RunStats field outside the merge allowlist"
-                );
-            }
-        });
     }
 
     /// Builds (or rebuilds) an ad's candidate heap for the current sample.
@@ -391,13 +338,9 @@ impl EngineCtx<'_> {
         }
     }
 
-    /// Lines 7 (Alg. 4 / Alg. 5) or the baselines' PageRank cursor.
-    fn select_candidate(
-        &self,
-        st: &mut AdState,
-        assigned: &[bool],
-        stats: &mut RunStats,
-    ) -> Option<Candidate> {
+    /// Lines 7 (Alg. 4 / Alg. 5) or the baselines' PageRank cursor: the
+    /// ad's proposal, with the candidate evaluations it took.
+    fn select_candidate(&self, st: &mut AdState, assigned: &[bool]) -> (Option<Candidate>, u64) {
         let Some((key, w)) = self.selection_key() else {
             // Advance past assigned nodes permanently; stop at the first
             // unassigned node without consuming it.
@@ -407,16 +350,15 @@ impl EngineCtx<'_> {
                     st.pr_cursor += 1;
                     continue;
                 }
-                stats.candidate_evaluations += 1;
                 let cov = st.cov.coverage_weight(v);
-                return Some(Candidate { v, cov });
+                return (Some(Candidate { v, cov }), 1);
             }
-            return None;
+            return (None, 0);
         };
         if self.cfg.lazy {
-            self.select_lazy(st, assigned, stats, key, w)
+            self.select_lazy(st, assigned, key, w)
         } else {
-            self.select_eager(st, assigned, stats, key, w)
+            self.select_eager(st, assigned, key, w)
         }
     }
 
@@ -429,10 +371,9 @@ impl EngineCtx<'_> {
         &self,
         st: &mut AdState,
         assigned: &[bool],
-        stats: &mut RunStats,
         key: KeyKind,
         w: usize,
-    ) -> Option<Candidate> {
+    ) -> (Option<Candidate>, u64) {
         let incent = &self.inst().incentives[st.idx];
         let cost = |v: NodeId| incent.cost(v).max(COST_FLOOR);
         let AdState {
@@ -445,7 +386,7 @@ impl EngineCtx<'_> {
         let cov: &RrCoverage = cov;
         let mut held = std::mem::replace(window, std::mem::take(window_spare));
         window.reserve_exact(w.min(heap.len() + held.len()));
-        stats.candidate_evaluations += heap.pop_window(
+        let evaluations = heap.pop_window(
             &mut held,
             w,
             |v| key.heap_key(cov.coverage_weight(v), || cost(v)),
@@ -460,11 +401,12 @@ impl EngineCtx<'_> {
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
                 .map(|(v, _)| v),
             KeyKind::Coverage | KeyKind::Ratio => window.first().map(|&(v, _)| v),
-        }?;
-        Some(Candidate {
+        };
+        let candidate = v.map(|v| Candidate {
             v,
             cov: cov.coverage_weight(v),
-        })
+        });
+        (candidate, evaluations)
     }
 
     /// Eager (non-lazy) scan over every unassigned node — the ablation
@@ -474,15 +416,13 @@ impl EngineCtx<'_> {
         &self,
         st: &mut AdState,
         assigned: &[bool],
-        stats: &mut RunStats,
         key: KeyKind,
         w: usize,
-    ) -> Option<Candidate> {
+    ) -> (Option<Candidate>, u64) {
         let inst = self.inst();
         let n = inst.num_nodes();
         let incent = &inst.incentives[st.idx];
         let cost = |v: NodeId| incent.cost(v).max(COST_FLOOR);
-        stats.candidate_evaluations += n as u64;
         // Live nodes with their coverage.
         let live = (0..n as NodeId)
             .filter(|&v| !assigned[v as usize])
@@ -514,11 +454,10 @@ impl EngineCtx<'_> {
                         .then(a.0.cmp(&b.0))
                 };
                 let mut top: Vec<(NodeId, f64)> = live.collect();
-                if top.is_empty() {
-                    return None;
-                }
                 let w = w.min(top.len());
-                top.select_nth_unstable_by(w - 1, order);
+                if let Some(last) = w.checked_sub(1) {
+                    top.select_nth_unstable_by(last, order);
+                }
                 top.truncate(w);
                 top.sort_unstable_by(order);
                 top.into_iter()
@@ -526,11 +465,12 @@ impl EngineCtx<'_> {
                     .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
                     .map(|(v, _)| v)
             }
-        }?;
-        Some(Candidate {
+        };
+        let candidate = v.map(|v| Candidate {
             v,
             cov: st.cov.coverage_weight(v),
-        })
+        });
+        (candidate, n as u64)
     }
 
     /// Line 9's global choice over the ads' current (possibly cached)

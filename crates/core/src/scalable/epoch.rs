@@ -13,6 +13,7 @@
 // function. Bounds are exercised by the crate test suite; new indexing
 // must preserve this discipline.
 
+use rm_graph::par::{available_cores, par_map_ordered};
 use rm_graph::NodeId;
 use rm_rrsets::{
     opim, stream_seed, KptEstimator, LazyGreedyHeap, PreparedSampler, RrArena, RrCoverage,
@@ -127,13 +128,12 @@ impl<'a> EngineCtx<'a> {
     /// to the same ad initialized in a batch.
     ///
     /// Each ad's pilot + initial sample is independent of every other ad's,
-    /// so the initializations fan out across scoped worker threads pulling
-    /// job indices from a shared counter. The worker count is bounded by the
-    /// core count — not the ad count — so a wide campaign cannot
-    /// oversubscribe the machine or hold every ad's transient sampling
-    /// tables live at once. Results are keyed by job position, so the output
-    /// (and every downstream tie-break) is deterministic regardless of
-    /// scheduling.
+    /// so the initializations fan out one ad per job ([`par_map_ordered`]).
+    /// The worker count is bounded by the core count — not the ad count —
+    /// so a wide campaign cannot oversubscribe the machine or hold every
+    /// ad's transient sampling tables live at once. Results come back in
+    /// job order, so the output (and every downstream tie-break) is
+    /// deterministic regardless of scheduling.
     pub(crate) fn init_ads(
         &self,
         ids: &[usize],
@@ -141,17 +141,23 @@ impl<'a> EngineCtx<'a> {
         assigned: &[bool],
         rr_pool: Option<&SharedRrPool>,
     ) -> Vec<AdState> {
-        let m = ids.len();
         let pr = |j: usize| pr_orders.get(j).cloned().unwrap_or_default();
-        let cores = available_cores();
-        let workers = cores.min(m).max(1);
-        // Split the thread budget between the two fan-out layers: `workers`
-        // ad initializations in flight, each allowed `cores / workers`
-        // sampler threads, so the product stays at the core count.
-        let inner_threads = (cores / workers).max(1).min(self.cfg.sampler_threads);
+        let (workers, inner_threads) = self.ad_fan_out(ids.len(), usize::MAX);
         par_map_ordered(ids.to_vec(), workers, |j| {
             self.init_ad(j, pr(j), inner_threads, assigned, rr_pool)
         })
+    }
+
+    /// The thread budget of a fan-out over `jobs` per-ad jobs, at most
+    /// `width` wide: `(workers, sampler_threads)`, with `workers` jobs in
+    /// flight and each job's sampler allowed `cores / workers` threads (and
+    /// at most `cfg.sampler_threads`), so the product stays at the core
+    /// count.
+    pub(crate) fn ad_fan_out(&self, jobs: usize, width: usize) -> (usize, usize) {
+        let cores = available_cores();
+        let workers = cores.min(width).min(jobs).max(1);
+        let sampler_threads = (cores / workers).max(1).min(self.cfg.sampler_threads);
+        (workers, sampler_threads)
     }
 
     /// Initializes one ad's state (KPT pilot, θ, initial RR sample, heap).
@@ -515,63 +521,6 @@ fn retain(stream: &mut RrArena, sets: RrArena) {
     } else {
         stream.append(&sets);
     }
-}
-
-/// Hardware parallelism (1 when unknown).
-pub(crate) fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
-
-/// Maps `f` over `items` on up to `workers` scoped threads that pull jobs
-/// from a shared queue. Results are keyed by job position, so the output
-/// order — and every downstream tie-break or sum — is deterministic
-/// regardless of scheduling. `workers <= 1` runs inline.
-pub(crate) fn par_map_ordered<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let m = items.len();
-    if workers <= 1 || m <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let queue = std::sync::Mutex::new(items.into_iter().enumerate());
-    let slots: Vec<std::sync::Mutex<Option<R>>> =
-        (0..m).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(m))
-            .map(|_| {
-                let (queue, slots, f) = (&queue, &slots, &f);
-                scope.spawn(move || loop {
-                    // INVARIANT: poisoning implies a sibling panicked —
-                    // propagate rather than run on partial state.
-                    let next = queue.lock().expect("job queue poisoned").next();
-                    let Some((k, job)) = next else { break };
-                    let out = f(job);
-                    // INVARIANT: as above, poisoning implies a panic.
-                    *slots[k].lock().expect("result slot poisoned") = Some(out);
-                })
-            })
-            .collect();
-        for handle in handles {
-            // INVARIANT: a worker panic is unrecoverable corruption of the
-            // fan-out; propagating is the only sound response.
-            handle.join().expect("fan-out worker panicked");
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            // INVARIANT: every job was run before the joins above returned;
-            // None/poison implies a worker panic.
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("fan-out worker skipped a job")
-        })
-        .collect()
 }
 
 /// Terminal Table-3 accounting for one ad: the resident RR bytes its

@@ -36,6 +36,7 @@
 use std::sync::Arc;
 
 use rm_diffusion::DiffusionKind;
+use rm_graph::par::{available_cores, par_map_ordered};
 use rm_graph::NodeId;
 use rm_rrsets::{LazyGreedyHeap, PreparedSampler, RrCoverage, SharedRrPool, TenantMode};
 
@@ -46,7 +47,7 @@ use crate::metrics::RunStats;
 use super::ad_state::AdState;
 use super::config::{AlgorithmKind, ScalableConfig, ScalableConfigError};
 use super::engine::SelectionPolicy;
-use super::epoch::{available_cores, par_map_ordered, terminal_ad_bytes, EngineCtx};
+use super::epoch::{terminal_ad_bytes, EngineCtx};
 
 /// How the engine holds its instance: borrowed for the one-shot batch
 /// wrapper (no graph deltas possible), owned behind an [`Arc`] for resident
@@ -399,9 +400,7 @@ impl<'a> ResidentEngine<'a> {
         let rr_pool = self.rr_pool.as_ref();
         let pr_orders = self.pr_orders.as_deref().unwrap_or(&[]);
         let jobs: Vec<&mut AdState> = self.ads.iter_mut().flatten().collect();
-        let cores = available_cores();
-        let workers = cores.min(ctx.cfg.sampler_threads).min(jobs.len()).max(1);
-        let inner_threads = (cores / workers).max(1).min(ctx.cfg.sampler_threads);
+        let (workers, inner_threads) = ctx.ad_fan_out(jobs.len(), ctx.cfg.sampler_threads);
         let repaired = par_map_ordered(jobs, workers, |st| {
             ctx.repair_ad(st, &changed, assigned, rr_pool, pr_orders, inner_threads)
         });
@@ -592,12 +591,10 @@ impl<'a> ResidentEngine<'a> {
         // once (the max, in case some ads carry no table) rather than per ad.
         let mut shared_table_bytes = 0usize;
         // Terminal accounting reads each ad's indexes once, independently:
-        // fan it out like `init_ads`, capped at the core count, and sum in
-        // ad order.
+        // one job per ad on up to the core count, summed in ad order.
         let ads: Vec<AdState> = ads.into_iter().flatten().collect();
         let jobs: Vec<&AdState> = ads.iter().collect();
-        let workers = available_cores().min(jobs.len());
-        let ad_bytes = par_map_ordered(jobs, workers, terminal_ad_bytes);
+        let ad_bytes = par_map_ordered(jobs, available_cores(), terminal_ad_bytes);
         for (st, bytes) in ads.into_iter().zip(ad_bytes) {
             let i = st.idx;
             stats.seeds_per_ad[i] = st.seeds.len();

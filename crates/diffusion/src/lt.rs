@@ -172,7 +172,7 @@ pub fn estimate_lt_spread(
 }
 
 /// Estimates the LT singleton spread `σ({u})` of **every** node with `runs`
-/// simulations each, parallelized over node ranges (the LT counterpart of
+/// simulations each, one node per work-stealing block (the LT counterpart of
 /// `singleton_spreads_mc`, used for incentive pricing under LT).
 pub fn singleton_spreads_lt_mc(
     g: &CsrGraph,
@@ -184,7 +184,7 @@ pub fn singleton_spreads_lt_mc(
         g.num_nodes(),
         runs,
         seed,
-        crate::spread::num_threads(g.num_nodes()),
+        rm_graph::par::available_cores(),
         || LtWorkspace::new(g.num_nodes()),
         |u, ws, rng| simulate_lt_cascade(g, weights, &[u], ws, rng),
     )

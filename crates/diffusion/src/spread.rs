@@ -4,7 +4,7 @@
 //! ad-specific probabilities. The paper uses 5K-run MC estimates of the
 //! singleton spreads `σ_i({u})` to price seed incentives on its quality
 //! datasets; [`singleton_spreads_mc`] reproduces that computation with the
-//! work spread across threads.
+//! work spread across the cores by [`rm_graph::par`].
 //!
 //! Every RNG stream is derived from its work item ([`stream_seed`]): one
 //! per node for singleton spreads, one per block of 1,000 runs for
@@ -14,6 +14,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use rm_graph::par::{available_cores, steal_blocks, Handoff};
 use rm_graph::seed::stream_seed;
 use rm_graph::{CsrGraph, NodeId};
 
@@ -34,8 +35,8 @@ pub struct SpreadEstimate {
 const RUN_BLOCK: usize = 1000;
 
 /// Estimates `σ(S)` with `runs` Monte-Carlo simulations, split across
-/// available threads in blocks of 1,000 runs. Deterministic in `seed` at
-/// any thread count: block `b` draws from stream `stream_seed(seed, b)`.
+/// the cores in blocks of 1,000 runs. Deterministic in `seed` at any
+/// worker count: block `b` draws from stream `stream_seed(seed, b)`.
 pub fn estimate_spread(
     g: &CsrGraph,
     probs: &AdProbs,
@@ -43,11 +44,10 @@ pub fn estimate_spread(
     runs: usize,
     seed: u64,
 ) -> SpreadEstimate {
-    let threads = num_threads(runs.div_ceil(RUN_BLOCK));
-    estimate_spread_on(g, probs, seeds, runs, seed, threads)
+    estimate_spread_on(g, probs, seeds, runs, seed, available_cores())
 }
 
-/// [`estimate_spread`] on exactly `threads` workers.
+/// [`estimate_spread`] on up to `threads` workers.
 fn estimate_spread_on(
     g: &CsrGraph,
     probs: &AdProbs,
@@ -59,44 +59,48 @@ fn estimate_spread_on(
     if seeds.is_empty() || runs == 0 {
         return SpreadEstimate { spread: 0.0, runs };
     }
-    let totals = map_items(
+    let mut total = 0u64;
+    steal_blocks(
         runs.div_ceil(RUN_BLOCK),
+        1,
         threads,
+        Handoff::Joined,
         || CascadeWorkspace::new(g.num_nodes()),
-        |b, ws| {
+        |b, _, ws| {
             let mut rng = SmallRng::seed_from_u64(stream_seed(seed, b as u64));
             let block = RUN_BLOCK.min(runs - b * RUN_BLOCK);
             (0..block)
                 .map(|_| simulate_cascade(g, probs, seeds, ws, &mut rng) as u64)
                 .sum::<u64>()
         },
+        |block_total| total += block_total,
     );
     SpreadEstimate {
-        spread: totals.iter().sum::<u64>() as f64 / runs as f64,
+        spread: total as f64 / runs as f64,
         runs,
     }
 }
 
 /// Estimates the singleton spread `σ({u})` of **every** node with `runs` MC
-/// simulations each, parallelized over node ranges. This is the incentive
-/// pricing input: `c_i(u) = f(σ_i({u}))`.
+/// simulations each, one node per work-stealing block. This is the
+/// incentive pricing input: `c_i(u) = f(σ_i({u}))`.
 pub fn singleton_spreads_mc(g: &CsrGraph, probs: &AdProbs, runs: usize, seed: u64) -> Vec<f64> {
     singleton_spreads_with(
         g.num_nodes(),
         runs,
         seed,
-        num_threads(g.num_nodes()),
+        available_cores(),
         || CascadeWorkspace::new(g.num_nodes()),
         |u, ws, rng| simulate_cascade(g, probs, &[u], ws, rng),
     )
 }
 
 /// Shared scaffolding for per-node singleton-spread Monte-Carlo, generic
-/// over the cascade simulator: partitions nodes across `threads` workers,
-/// draws node `u`'s runs from stream `stream_seed(seed, u)`, and averages
-/// `runs` calls of `sim` per node. Both the IC estimator above and the LT
-/// one (`lt::singleton_spreads_lt_mc`) are thin instantiations, so
-/// thread-cap or seeding changes apply to every model at once.
+/// over the cascade simulator: spreads the nodes over up to `threads`
+/// workers, draws node `u`'s runs from stream `stream_seed(seed, u)`, and
+/// averages `runs` calls of `sim` per node. Both the IC estimator above and
+/// the LT one (`lt::singleton_spreads_lt_mc`) are thin instantiations, so
+/// seeding changes apply to every model at once.
 pub(crate) fn singleton_spreads_with<W, M, F>(
     n: usize,
     runs: usize,
@@ -109,55 +113,21 @@ where
     M: Fn() -> W + Sync,
     F: Fn(NodeId, &mut W, &mut SmallRng) -> usize + Sync,
 {
-    map_items(n, threads, make_ws, |u, ws| {
-        let mut rng = SmallRng::seed_from_u64(stream_seed(seed, u as u64));
-        let total: usize = (0..runs).map(|_| sim(u as NodeId, ws, &mut rng)).sum();
-        total as f64 / runs as f64
-    })
-}
-
-/// Evaluates `work(i, ws)` for every item `i < items` in contiguous chunks
-/// on up to `threads` scoped workers, each owning one workspace from
-/// `make_ws`, and returns the results in item order.
-fn map_items<W, T: Send>(
-    items: usize,
-    threads: usize,
-    make_ws: impl Fn() -> W + Sync,
-    work: impl Fn(usize, &mut W) -> T + Sync,
-) -> Vec<T> {
-    if threads <= 1 || items <= 1 {
-        let mut ws = make_ws();
-        return (0..items).map(|i| work(i, &mut ws)).collect();
-    }
-    let chunk = items.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..items)
-            .step_by(chunk)
-            .map(|lo| {
-                let (make_ws, work) = (&make_ws, &work);
-                scope.spawn(move || {
-                    let mut ws = make_ws();
-                    (lo..(lo + chunk).min(items))
-                        .map(|i| work(i, &mut ws))
-                        .collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // INVARIANT: a worker panic is unrecoverable; propagate it.
-            .flat_map(|h| h.join().expect("spread worker panicked"))
-            .collect()
-    })
-}
-
-/// Worker count for `work_items` items: the hardware parallelism, at most
-/// one worker per item and at most 32.
-pub(crate) fn num_threads(work_items: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    hw.min(work_items.max(1)).min(32)
+    let mut out = Vec::with_capacity(n);
+    steal_blocks(
+        n,
+        1,
+        threads,
+        Handoff::Joined,
+        make_ws,
+        |u, _, ws| {
+            let mut rng = SmallRng::seed_from_u64(stream_seed(seed, u as u64));
+            let total: usize = (0..runs).map(|_| sim(u as NodeId, ws, &mut rng)).sum();
+            total as f64 / runs as f64
+        },
+        |spread| out.push(spread),
+    );
+    out
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@
 //! paper's four evaluation datasets (Erdős–Rényi, Barabási–Albert, Chung–Lu
 //! power-law, Watts–Strogatz, forest-fire), weighted PageRank (substrate for
 //! the paper's `PageRank-GR` / `PageRank-RR` baselines), degree statistics,
-//! and a plain-text edge-list reader/writer.
+//! and a plain-text edge-list reader/writer. Two modules serve every crate
+//! above it: [`seed`] derives RNG streams and [`par`] runs every parallel
+//! loop in the workspace.
 //!
 //! ## Quick example
 //!
@@ -39,6 +41,7 @@ pub mod degree;
 pub mod generators;
 pub mod io;
 pub mod pagerank;
+pub mod par;
 pub mod seed;
 pub mod snapshot;
 pub mod synthetic;

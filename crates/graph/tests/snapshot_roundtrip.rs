@@ -5,10 +5,13 @@
 //!    including isolated nodes, which the plain-text edge-list format loses.
 //! 2. **Corruption rejection**: any single flipped byte and any truncated
 //!    prefix decodes to an `InvalidData` error, never to a different graph.
+//! 3. **Structural validation**: sections that break a CSR invariant under
+//!    a *valid* checksum are still rejected with `InvalidData`, by
+//!    `CsrGraph::from_parts` rather than by the checksum.
 
 use proptest::prelude::*;
 use rm_graph::builder::graph_from_edges;
-use rm_graph::snapshot::{read_snapshot, write_snapshot};
+use rm_graph::snapshot::{read_snapshot, write_snapshot, MAGIC, VERSION};
 use rm_graph::{CsrGraph, NodeId};
 
 /// Builds a graph from an edge-chooser vector: entry `k` encodes the
@@ -107,4 +110,58 @@ fn isolated_nodes_survive_snapshot_but_not_text() {
         3,
         "text round trip loses isolated nodes"
     );
+}
+
+/// Encodes raw CSR sections as a version-1 snapshot with no original ids,
+/// under a checksum recomputed from the documented word stream (header
+/// words, then every section value), so only structural validation can
+/// reject them.
+fn encode_sections(n: usize, sections: [&[u32]; 5]) -> Vec<u8> {
+    let mix = |h: u64, x: u64| (h ^ x).wrapping_mul(0x100_0000_01b3).rotate_left(29);
+    let m = sections[1].len() as u64;
+    let mut buf = MAGIC.to_vec();
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&0u32.to_le_bytes());
+    buf.extend_from_slice(&(n as u64).to_le_bytes());
+    buf.extend_from_slice(&m.to_le_bytes());
+    let mut h = [u64::from(VERSION), 0, n as u64, m]
+        .into_iter()
+        .fold(0x9e37_79b9_7f4a_7c15, mix);
+    for &x in sections.iter().copied().flatten() {
+        h = mix(h, u64::from(x));
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+    buf.extend_from_slice(&h.to_le_bytes());
+    buf
+}
+
+#[test]
+fn structurally_invalid_sections_are_rejected_under_a_valid_checksum() {
+    let g = graph_from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 3)]);
+    let (out_offsets, out_targets, in_offsets, in_sources, in_eids) = g.parts();
+    let valid = [out_offsets, out_targets, in_offsets, in_sources, in_eids];
+    // The encoder is faithful: untouched sections reload bit-identically.
+    let snap = read_snapshot(&encode_sections(4, valid)[..]).unwrap();
+    assert_eq!(snap.graph, g);
+
+    let mut dipping = out_offsets.to_vec();
+    dipping[1] = dipping[2] + 1; // still spans 0..=m, but falls back
+    let mut far = out_targets.to_vec();
+    far[0] = 4; // == n
+    let mut repeated = in_eids.to_vec();
+    repeated[1] = repeated[0];
+    for (section, value, rule) in [
+        (0, &dipping, "not monotone"),
+        (1, &far, "endpoint out of range"),
+        (4, &repeated, "not a permutation"),
+    ] {
+        let mut sections = valid;
+        sections[section] = value;
+        let err = read_snapshot(&encode_sections(4, sections)[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{rule}");
+        assert!(
+            err.to_string().contains(rule),
+            "want a `{rule}` rejection past the checksum, got: {err}"
+        );
+    }
 }

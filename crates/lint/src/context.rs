@@ -12,12 +12,17 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/rrsets/src/opim.rs",
     "crates/diffusion/src/cascade.rs",
     "crates/diffusion/src/tic.rs",
+    "crates/graph/src/par.rs",
     "crates/core/src/scalable/",
 ];
 
 /// The sanctioned seed-derivation module: the one place allowed to perform
 /// raw seed arithmetic (it *is* the mixer).
 pub const SEED_HELPER_PATHS: &[&str] = &["crates/graph/src/seed.rs", "vendor/rand/src/lib.rs"];
+
+/// The sanctioned fan-out module: the one place allowed to start threads
+/// (it *is* the scheduler).
+pub const FAN_OUT_PATHS: &[&str] = &["crates/graph/src/par.rs"];
 
 /// A lexed, classified source file ready for linting.
 pub struct FileContext {
@@ -69,6 +74,11 @@ impl FileContext {
     /// True if the file is a sanctioned seed-derivation helper module.
     pub fn is_seed_helper(&self) -> bool {
         SEED_HELPER_PATHS.contains(&self.path.as_str())
+    }
+
+    /// True if the file is the sanctioned fan-out module.
+    pub fn is_fan_out_module(&self) -> bool {
+        FAN_OUT_PATHS.contains(&self.path.as_str())
     }
 
     /// True if line `i` (0-based) is waived for `lint` by an

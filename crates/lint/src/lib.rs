@@ -5,9 +5,9 @@
 //! statistical suites. Those rest on mechanical invariants — RNG streams
 //! derived only by chained mixing, no hash-order iteration in
 //! result-affecting code, panic-free hot paths, no wall-clock influence on
-//! artifacts, scheduler-independent float reductions, zero `unsafe`. This
-//! crate enforces them with a self-contained line scanner (hand-rolled
-//! lexer, no registry deps) suitable for CI:
+//! artifacts, scheduler-independent float reductions, zero `unsafe`, one
+//! fan-out primitive. This crate enforces them with a self-contained line
+//! scanner (hand-rolled lexer, no registry deps) suitable for CI:
 //!
 //! ```text
 //! cargo run -p rm-lint            # human output, exit 1 on findings
@@ -329,7 +329,8 @@ mod tests {
                 "panic-path",
                 "wallclock-in-results",
                 "float-reduce",
-                "unsafe-audit"
+                "unsafe-audit",
+                "scoped-threads"
             ]
         );
     }

@@ -4,8 +4,8 @@
 //! `thread::scope` workers in completion order (shared `Mutex` accumulator,
 //! in-scope reductions) makes the low bits a function of the scheduler.
 //! The sanctioned pattern is per-thread slots merged *after* the scope in
-//! index order (see `rm_diffusion::spread`). Inside a scope body the lint
-//! flags
+//! index order (see `rm_graph::par`, which hands every result over in block
+//! order). Inside a scope body the lint flags
 //!
 //! * `+=` on a line that also mentions `f32`/`f64`,
 //! * `+=` through a `lock()` (shared accumulator), and

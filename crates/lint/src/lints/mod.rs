@@ -9,6 +9,7 @@ pub mod float_reduce;
 pub mod nondet_iter;
 pub mod panic_path;
 pub mod rng_discipline;
+pub mod scoped_threads;
 pub mod unsafe_audit;
 pub mod wallclock;
 
@@ -67,6 +68,12 @@ pub const REGISTRY: &[LintDef] = &[
         description: "the workspace is structurally unsafe-free: any `unsafe` token, or a crate \
                       root missing #![forbid(unsafe_code)] (not waivable)",
         check: unsafe_audit::check,
+    },
+    LintDef {
+        name: "scoped-threads",
+        description: "thread::scope/spawn/Builder in non-test code outside rm_graph::par; every \
+                      fan-out runs through its one block scheduler",
+        check: scoped_threads::check,
     },
 ];
 

@@ -1,9 +1,10 @@
 //! `panic-path` — panics and computed indexing on the hot-path allowlist.
 //!
 //! The allowlisted modules (`rrsets::{sampler,index,arena,opim}`,
-//! `core::scalable`, `diffusion::{cascade,tic}`) run inside the sampling /
-//! selection inner loops; a panic there aborts a whole run (and under
-//! `thread::scope`, every worker). Flagged in non-test code:
+//! `core::scalable`, `diffusion::{cascade,tic}`, `graph::par`) run inside
+//! the sampling / selection inner loops; a panic there aborts a whole run
+//! (and inside a `graph::par` fan-out, every worker). Flagged in non-test
+//! code:
 //!
 //! * `.unwrap()` / `.expect(…)`,
 //! * `panic!` / `unreachable!` / `todo!` / `unimplemented!` and the

@@ -88,6 +88,19 @@ fn float_reduce_fixtures() {
 }
 
 #[test]
+fn scoped_threads_fixtures() {
+    let bad = include_str!("fixtures/scoped-threads/bad.rs");
+    assert_eq!(lines_of("scoped-threads", LIVE, bad), vec![5, 15, 20]);
+    assert_clean(
+        "scoped-threads",
+        LIVE,
+        include_str!("fixtures/scoped-threads/good.rs"),
+    );
+    // The fan-out module itself is exempt: it is the scheduler.
+    assert_clean("scoped-threads", "crates/graph/src/par.rs", bad);
+}
+
+#[test]
 fn unsafe_audit_fixtures() {
     let bad = include_str!("fixtures/unsafe-audit/bad.rs");
     assert_eq!(lines_of("unsafe-audit", LIVE, bad), vec![4, 12]);

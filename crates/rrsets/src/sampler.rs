@@ -17,6 +17,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use rm_diffusion::{AdProbs, DiffusionModel, TicInSlots};
+use rm_graph::par::{available_cores, steal_blocks, Handoff};
 use rm_graph::{CsrGraph, NodeId};
 
 use crate::arena::RrArena;
@@ -305,7 +306,7 @@ trait Trace {
 impl<F: FnMut(usize, u32, bool)> Trace for F {
     #[inline]
     fn decide(&mut self, slot: usize, thr: u32, accepted: bool) {
-        self(slot, thr, accepted)
+        self(slot, thr, accepted);
     }
 }
 
@@ -705,109 +706,6 @@ fn sample_ids(
     (arena, widths)
 }
 
-/// When [`steal_blocks`] hands a parallel call's finished blocks to its
-/// consumer. Either way the consumer sees every block once, in block order.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Handoff {
-    /// As they finish: the worker that finishes the next block in order
-    /// consumes it, and any finished blocks queued behind it, under a lock,
-    /// so only the blocks finished ahead of the consumer are held at once.
-    Streamed,
-    /// On the calling thread, once every block is done. Each worker holds
-    /// its own finished blocks until then.
-    Joined,
-}
-
-/// The one block scheduler of every sampling call: runs `sample(lo, hi, ws)`
-/// over the `block`-set blocks of `0..count` on `threads` workers and hands
-/// each result to `consume` in block order, as `handoff` says.
-///
-/// Workers pull blocks off a shared atomic cursor (work-stealing — a
-/// straggler core strands at most one block), and each owns one
-/// [`RrWorkspace`] for its whole share: the visited array is O(n), so it is
-/// per-worker state, not per-block (at n = 10⁷ a fresh workspace per block
-/// would zero 10 MB every thousand sets). Per-set seeds depend only on the
-/// global set index, never on which worker sampled it, so the consumed
-/// sequence is bit-identical at any worker count. One worker runs the
-/// blocks in order on the calling thread, consuming each as it finishes.
-fn steal_blocks<T: Send>(
-    n: usize,
-    count: usize,
-    block: usize,
-    threads: usize,
-    handoff: Handoff,
-    sample: impl Fn(usize, usize, &mut RrWorkspace) -> T + Sync,
-    mut consume: impl FnMut(T) + Send,
-) {
-    debug_assert!(block > 0, "blocks must hold at least one set");
-    let nblocks = count.div_ceil(block);
-    let bounds = |b: usize| (b * block, ((b + 1) * block).min(count));
-    if threads <= 1 {
-        let mut ws = RrWorkspace::new(n);
-        for b in 0..nblocks {
-            let (lo, hi) = bounds(b);
-            consume(sample(lo, hi, &mut ws));
-        }
-        return;
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    // The next block to consume, the finished blocks queued behind it,
-    // and the consumer.
-    let splice = std::sync::Mutex::new((0usize, std::collections::BTreeMap::new(), consume));
-    let mut held: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                let (cursor, sample, bounds, splice) = (&cursor, &sample, &bounds, &splice);
-                scope.spawn(move || {
-                    let mut ws = RrWorkspace::new(n);
-                    let mut held = Vec::new();
-                    loop {
-                        let b = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if b >= nblocks {
-                            break;
-                        }
-                        let (lo, hi) = bounds(b);
-                        let part = sample(lo, hi, &mut ws);
-                        if handoff == Handoff::Joined {
-                            held.push((b, part));
-                            continue;
-                        }
-                        // INVARIANT: poisoning means a sibling panicked
-                        // while consuming; the batch is lost, so propagate.
-                        let mut guard = splice.lock().expect("sampler splice lock poisoned");
-                        let (next, ahead, consume) = &mut *guard;
-                        ahead.insert(b, part);
-                        while let Some(part) = ahead.remove(next) {
-                            consume(part);
-                            *next += 1;
-                        }
-                    }
-                    held
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            // INVARIANT: a sampler-worker panic leaves the batch
-            // incomplete; propagating is the only sound response.
-            .flat_map(|w| w.join().expect("sampler worker panicked"))
-            .collect()
-    });
-    held.sort_unstable_by_key(|p| p.0);
-    // INVARIANT: every worker has been joined, so no lock holder panicked
-    // unnoticed.
-    let (mut next, _, mut consume) = splice.into_inner().expect("sampler splice lock poisoned");
-    for (b, part) in held {
-        debug_assert_eq!(b, next, "blocks must be consumed in order");
-        consume(part);
-        next += 1;
-    }
-    debug_assert_eq!(
-        next, nblocks,
-        "steal cursor must hand out each block exactly once"
-    );
-}
-
 /// One work-stealing block of a traced batch
 /// ([`PreparedSampler::sample_traced`]): the block's sets and, set-major,
 /// `columns` importance weights per set.
@@ -989,11 +887,11 @@ impl PreparedSampler {
         let block = if threads <= 1 { count } else { STEAL_BLOCK };
         let mut parts = Vec::with_capacity(count.div_ceil(block));
         steal_blocks(
-            g.num_nodes(),
             count,
             block,
             threads,
             Handoff::Joined,
+            || RrWorkspace::new(g.num_nodes()),
             |lo, hi, ws| sample_ids(g, &self.tables, base, ids.block(lo, hi), ws),
             |part| parts.push(part),
         );
@@ -1071,11 +969,11 @@ impl PreparedSampler {
         }
         let base = mix64(seed);
         steal_blocks(
-            g.num_nodes(),
             ids.len(),
             STEAL_BLOCK,
             self.worker_count(ids.len()),
             Handoff::Streamed,
+            || RrWorkspace::new(g.num_nodes()),
             |lo, hi, ws| {
                 let count = hi - lo;
                 let mut arena = RrArena::with_capacity(count, 2 * count);
@@ -1121,10 +1019,11 @@ impl PreparedSampler {
 
     /// Worker count for a call sampling `count` sets: the forced count, or
     /// the hardware parallelism under the cap — never more than the call
-    /// has steal blocks. Batches that fit one block (KPT pilot rounds,
-    /// small growth steps, small repairs) never query the hardware.
+    /// has steal blocks ([`steal_blocks`] adds its worker cap). Batches
+    /// that fit one block (KPT pilot rounds, small growth steps, small
+    /// repairs) never query the hardware.
     fn worker_count(&self, count: usize) -> usize {
-        let limit = count.div_ceil(STEAL_BLOCK).min(32);
+        let limit = count.div_ceil(STEAL_BLOCK);
         match self.thread_count {
             Some(t) => t.min(limit),
             None => {
@@ -1132,10 +1031,7 @@ impl PreparedSampler {
                 if cap <= 1 {
                     1
                 } else {
-                    std::thread::available_parallelism()
-                        .map(|p| p.get())
-                        .unwrap_or(1)
-                        .min(cap)
+                    available_cores().min(cap)
                 }
             }
         }
