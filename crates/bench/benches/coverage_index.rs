@@ -36,7 +36,7 @@ fn bench_add_batch(c: &mut Criterion) {
             let mut idx = base.clone();
             let mut covered = 0;
             for _ in 0..50 {
-                let mut best = (0u32, 0u32);
+                let mut best = (0u32, 0.0);
                 for v in 0..n as u32 {
                     let cv = idx.coverage(v);
                     if cv > best.1 {

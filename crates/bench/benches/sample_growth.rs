@@ -20,16 +20,9 @@ fn bench_growth(c: &mut Criterion) {
     let mut base = RrCoverage::new(n);
     let mut is_seed = vec![false; n];
     base.add_batch(&initial, &is_seed);
-    for _ in 0..10 {
-        let mut best = (0u32, 0u32);
-        for v in 0..n as u32 {
-            let cv = base.coverage(v);
-            if cv > best.1 {
-                best = (v, cv);
-            }
-        }
-        base.cover_with(best.0);
-        is_seed[best.0 as usize] = true;
+    for v in base.greedy_extension(10, 0, |_| false).picks {
+        base.cover_with(v);
+        is_seed[v as usize] = true;
     }
 
     let mut group = c.benchmark_group("sample_growth");

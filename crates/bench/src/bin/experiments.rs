@@ -55,6 +55,19 @@ fn main() {
         usage();
         std::process::exit(2);
     }
+    // Resolve every id before running any, so a typo late in the list
+    // fails at once instead of after the experiments before it.
+    let runs: Vec<(String, fn(Opts))> = ids
+        .into_iter()
+        .map(|id| match lookup(&id) {
+            Some(run) => (id, run),
+            None => {
+                eprintln!("unknown experiment id: {id}");
+                usage();
+                std::process::exit(2);
+            }
+        })
+        .collect();
     let threads = |t: usize| {
         if t == usize::MAX {
             "hw".to_string()
@@ -62,8 +75,9 @@ fn main() {
             t.to_string()
         }
     };
+    let names: Vec<&str> = runs.iter().map(|(id, _)| id.as_str()).collect();
     println!(
-        "# experiments: {ids:?}  scale={} seed={} quick={} paper_eps={} selection_threads={} \
+        "# experiments: {names:?}  scale={} seed={} quick={} paper_eps={} selection_threads={} \
          sampler_threads={}",
         opts.scale,
         opts.seed,
@@ -72,45 +86,47 @@ fn main() {
         threads(opts.selection_threads),
         threads(opts.sampler_threads)
     );
-    for id in ids {
-        run(&id, opts);
+    for (id, run) in &runs {
+        let t0 = std::time::Instant::now();
+        run(opts);
+        println!("[{id}] finished in {:.1}s", t0.elapsed().as_secs_f64());
     }
 }
 
-fn run(id: &str, opts: Opts) {
-    let t0 = std::time::Instant::now();
-    match id {
-        "table1" => experiments::table1(opts),
-        "table2" => experiments::table2(opts),
-        "fig1" => experiments::fig1(opts),
-        "fig2" | "fig3" | "fig23" => experiments::fig2_fig3(opts),
-        "fig4" => experiments::fig4(opts),
-        "lt-quality" => experiments::lt_quality(opts),
-        "tic-quality" => experiments::tic_quality(opts),
-        "fig5" | "table3" => experiments::fig5_table3(opts),
-        "ablation-lazy" => experiments::ablation_lazy(opts),
-        "ablation-term" => experiments::ablation_termination(opts),
-        "ablation-singleton" => experiments::ablation_singleton(opts),
-        "ablation-opim" => experiments::ablation_opim(opts),
-        "pool-ablation" => experiments::pool_ablation(opts),
-        "quality" => {
+/// The experiment an id names; `None` for an unknown id.
+fn lookup(id: &str) -> Option<fn(Opts)> {
+    let run: fn(Opts) = match id {
+        "table1" => experiments::table1,
+        "table2" => experiments::table2,
+        "fig1" => experiments::fig1,
+        "fig2" | "fig3" | "fig23" => experiments::fig2_fig3,
+        "fig4" => experiments::fig4,
+        "lt-quality" => experiments::lt_quality,
+        "tic-quality" => experiments::tic_quality,
+        "fig5" | "table3" => experiments::fig5_table3,
+        "ablation-lazy" => experiments::ablation_lazy,
+        "ablation-term" => experiments::ablation_termination,
+        "ablation-singleton" => experiments::ablation_singleton,
+        "ablation-opim" => experiments::ablation_opim,
+        "pool-ablation" => experiments::pool_ablation,
+        "quality" => |opts| {
             experiments::fig2_fig3(opts);
             experiments::fig4(opts);
-        }
-        "scalability" => experiments::fig5_table3(opts),
+        },
+        "scalability" => experiments::fig5_table3,
         // Not folded into `all`: the full tier is a multi-GB, half-hour-class
         // run; invoke it explicitly (CI smokes it with --quick).
-        "scale" => rm_bench::scale::scale_tier(opts),
+        "scale" => rm_bench::scale::scale_tier,
         // Likewise explicit-only: the resident-engine replay (recorded runs
         // land in BENCH_serve.json) and the benchmark-trajectory merge.
-        "serve" => rm_bench::serve::serve(opts),
-        "bench-merge" => {
+        "serve" => rm_bench::serve::serve,
+        "bench-merge" => |_| {
             if let Err(e) = rm_bench::merge::bench_merge() {
                 eprintln!("[bench-merge] cannot write the trajectory blob: {e}");
                 std::process::exit(1);
             }
-        }
-        "all" => {
+        },
+        "all" => |opts| {
             experiments::table1(opts);
             experiments::table2(opts);
             experiments::fig1(opts);
@@ -124,14 +140,10 @@ fn run(id: &str, opts: Opts) {
             experiments::ablation_singleton(opts);
             experiments::ablation_opim(opts);
             experiments::pool_ablation(opts);
-        }
-        other => {
-            eprintln!("unknown experiment id: {other}");
-            usage();
-            std::process::exit(2);
-        }
-    }
-    println!("[{id}] finished in {:.1}s", t0.elapsed().as_secs_f64());
+        },
+        _ => return None,
+    };
+    Some(run)
 }
 
 /// Parses the value following `flag` with `parse`; a missing or malformed

@@ -30,6 +30,23 @@ fn unknown_id_exits_nonzero_and_lists_valid_ids() {
 }
 
 #[test]
+fn unknown_id_is_rejected_before_any_experiment_runs() {
+    // A typo after a valid id must not first run the valid experiment.
+    let out = experiments()
+        .args(["table1", "no-such-experiment"])
+        .output()
+        .expect("run experiments binary");
+    assert_eq!(out.status.code(), Some(2), "unknown id must exit 2");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !stdout.contains("[table1] finished"),
+        "table1 ran before the unknown id was rejected:\n{stdout}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment id: no-such-experiment"));
+}
+
+#[test]
 fn no_arguments_exits_nonzero_with_usage() {
     let out = experiments().output().expect("run experiments binary");
     assert_eq!(out.status.code(), Some(2), "bare invocation must exit 2");

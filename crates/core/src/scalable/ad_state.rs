@@ -191,8 +191,8 @@ impl AdState {
             return 0.0;
         }
         let covered = match &self.opim {
-            Some(op) => op.val_cov.covered_total() as f64,
-            None => self.cov.covered_weight(),
+            Some(op) => op.val_cov.covered(),
+            None => self.cov.covered(),
         };
         cpe * n as f64 * covered / self.theta as f64
     }

@@ -302,9 +302,8 @@ impl EngineCtx<'_> {
     }
 
     /// Builds (or rebuilds) an ad's candidate heap for the current sample.
-    /// Keys read the weighted coverage accessor: the exact f64 image of the
-    /// count on unit-weight indexes (bit-identical to the former
-    /// `coverage(v) as f64`), the importance mass for reweighted tenants.
+    /// Keys read the uncovered mass: the set count on unit-weight indexes,
+    /// the importance mass for reweighted tenants.
     pub(crate) fn build_heap(
         &self,
         cov: &RrCoverage,
@@ -317,7 +316,7 @@ impl EngineCtx<'_> {
         let inst = self.inst();
         let incent = &inst.incentives[ad];
         LazyGreedyHeap::build((0..inst.num_nodes() as NodeId).filter_map(|v| {
-            let c = cov.coverage_weight(v);
+            let c = cov.coverage(v);
             (c > 0.0 && !assigned[v as usize])
                 .then(|| (v, key.heap_key(c, || incent.cost(v).max(COST_FLOOR))))
         }))
@@ -350,7 +349,7 @@ impl EngineCtx<'_> {
                     st.pr_cursor += 1;
                     continue;
                 }
-                let cov = st.cov.coverage_weight(v);
+                let cov = st.cov.coverage(v);
                 return (Some(Candidate { v, cov }), 1);
             }
             return (None, 0);
@@ -389,7 +388,7 @@ impl EngineCtx<'_> {
         let evaluations = heap.pop_window(
             &mut held,
             w,
-            |v| key.heap_key(cov.coverage_weight(v), || cost(v)),
+            |v| key.heap_key(cov.coverage(v), || cost(v)),
             |v| assigned[v as usize],
             window,
         ) as u64;
@@ -404,7 +403,7 @@ impl EngineCtx<'_> {
         };
         let candidate = v.map(|v| Candidate {
             v,
-            cov: cov.coverage_weight(v),
+            cov: cov.coverage(v),
         });
         (candidate, evaluations)
     }
@@ -426,7 +425,7 @@ impl EngineCtx<'_> {
         // Live nodes with their coverage.
         let live = (0..n as NodeId)
             .filter(|&v| !assigned[v as usize])
-            .map(|v| (v, st.cov.coverage_weight(v)))
+            .map(|v| (v, st.cov.coverage(v)))
             .filter(|&(_, c)| c > 0.0);
         let v = match key {
             KeyKind::Coverage | KeyKind::Ratio => {
@@ -468,7 +467,7 @@ impl EngineCtx<'_> {
         };
         let candidate = v.map(|v| Candidate {
             v,
-            cov: st.cov.coverage_weight(v),
+            cov: st.cov.coverage(v),
         });
         (candidate, n as u64)
     }
@@ -500,7 +499,7 @@ impl EngineCtx<'_> {
             // ρ past the budget on commit. Ranking still uses the
             // selection-stream `d_pi`/`d_rho`.
             let d_pi_commit = match &st.opim {
-                Some(op) => st.delta_pi(ad.cpe, n, f64::from(op.val_cov.coverage(cand.v))),
+                Some(op) => st.delta_pi(ad.cpe, n, op.val_cov.coverage(cand.v)),
                 None => d_pi,
             };
             let rho_now = st.rho(ad.cpe, n);

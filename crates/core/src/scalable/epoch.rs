@@ -134,18 +134,70 @@ impl<'a> EngineCtx<'a> {
     /// ad's transient sampling tables live at once. Results come back in
     /// job order, so the output (and every downstream tie-break) is
     /// deterministic regardless of scheduling.
+    ///
+    /// The shared pool's work for the identical tenants — the group pilot
+    /// and the growth to their first sample — runs first, on the calling
+    /// thread at full width ([`Self::warm_pool`]). During the fan-out the
+    /// pool is capped at the per-worker share like every ad's own sampler,
+    /// so no more workers than cores are ever live. Each live worker
+    /// thread holds a glibc malloc arena; nested fan-outs let the arena
+    /// count, and with it the memory the arenas retain between runs, grow
+    /// with thread timing.
     pub(crate) fn init_ads(
         &self,
         ids: &[usize],
         pr_orders: &[Vec<NodeId>],
         assigned: &[bool],
-        rr_pool: Option<&SharedRrPool>,
+        mut rr_pool: Option<&mut SharedRrPool>,
     ) -> Vec<AdState> {
         let pr = |j: usize| pr_orders.get(j).cloned().unwrap_or_default();
         let (workers, inner_threads) = self.ad_fan_out(ids.len(), usize::MAX);
-        par_map_ordered(ids.to_vec(), workers, |j| {
-            self.init_ad(j, pr(j), inner_threads, assigned, rr_pool)
-        })
+        if let Some(p) = rr_pool.as_deref_mut() {
+            self.warm_pool(p, ids);
+            p.set_thread_cap(inner_threads);
+        }
+        let pool = rr_pool.as_deref();
+        let states = par_map_ordered(ids.to_vec(), workers, |j| {
+            self.init_ad(j, pr(j), inner_threads, assigned, pool)
+        });
+        if let Some(p) = rr_pool {
+            p.set_thread_cap(self.cfg.sampler_threads);
+        }
+        states
+    }
+
+    /// Runs the pool work [`Self::init_ad`] would do first for the
+    /// identical tenants among `ids`: the group's cached KPT pilot, and
+    /// growth to the first sample size that pilot sets. Pilots and growth
+    /// are pure functions of the pool's streams, so doing them here instead
+    /// of inside the fan-out changes no set and no estimate.
+    fn warm_pool(&self, pool: &SharedRrPool, ids: &[usize]) {
+        let g = &self.inst().graph;
+        for &j in ids {
+            if pool.mode(j) != TenantMode::Identical {
+                continue;
+            }
+            // INVARIANT: the pool serves a pilot for every identical tenant.
+            let kpt = pool
+                .kpt(g, j, 1, &self.tim)
+                .expect("identical tenants have a pooled pilot");
+            pool.ensure_sets(g, j, self.initial_theta(&kpt).1);
+        }
+    }
+
+    /// Eq. 8's θ for `kpt` at latent size 1, and the size of the first
+    /// sample the configured schedule draws: all of θ under the fixed-θ
+    /// schedule; under the online rule, its first step below θ clamped to
+    /// the per-stream valve.
+    fn initial_theta(&self, kpt: &KptEstimator) -> (usize, usize) {
+        let theta_full = kpt.theta_for(self.inst().num_nodes(), 1, &self.tim);
+        let first = match self.cfg.sampling {
+            SamplingStrategy::FixedTheta => theta_full,
+            SamplingStrategy::OnlineBounds => {
+                opim::initial_theta(theta_full.min(self.online_stream_valve(&self.tim)))
+            }
+        };
+        (theta_full, first)
     }
 
     /// The thread budget of a fan-out over `jobs` per-ad jobs, at most
@@ -202,31 +254,28 @@ impl<'a> EngineCtx<'a> {
             KptEstimator::estimate_with_sampler(g, &sampler, 1, tim, kpt_seed)
         };
         let s_latent = 1usize;
-        let theta_full = kpt.theta_for(n, s_latent, tim);
+        let (theta_full, theta) = self.initial_theta(&kpt);
         let capped = theta_full >= tim.max_sets_per_ad
             && matches!(self.cfg.sampling, SamplingStrategy::FixedTheta);
-        let (theta, op) = match self.cfg.sampling {
-            SamplingStrategy::FixedTheta => (theta_full, None),
+        let op = match self.cfg.sampling {
+            SamplingStrategy::FixedTheta => None,
             SamplingStrategy::OnlineBounds => {
                 // The per-ad valve bounds *total* sets; with two streams
                 // each may use at most half, so OnlineBounds never draws
                 // more than `max_sets_per_ad` sets even when the rule
                 // never certifies.
                 let theta_cap = theta_full.min(self.online_stream_valve(tim));
-                (
-                    opim::initial_theta(theta_cap),
-                    Some(OpimAdState {
-                        val_cov: RrCoverage::new(n),
-                        val_seed: stream_seed(self.cfg.seed ^ 0x0B5E_55ED, j as u64),
-                        theta_cap,
-                        // On tiny graphs Eq. 8's cap can undercut the
-                        // rule's default pilot gate; the floor clamps the
-                        // gate so the rule can certify at the cap instead
-                        // of spinning doubling steps that cannot happen.
-                        rule: StoppingRule::new(n, self.cfg.epsilon, self.cfg.ell)
-                            .with_pilot_floor(theta_cap),
-                    }),
-                )
+                Some(OpimAdState {
+                    val_cov: RrCoverage::new(n),
+                    val_seed: stream_seed(self.cfg.seed ^ 0x0B5E_55ED, j as u64),
+                    theta_cap,
+                    // On tiny graphs Eq. 8's cap can undercut the
+                    // rule's default pilot gate; the floor clamps the
+                    // gate so the rule can certify at the cap instead
+                    // of spinning doubling steps that cannot happen.
+                    rule: StoppingRule::new(n, self.cfg.epsilon, self.cfg.ell)
+                        .with_pilot_floor(theta_cap),
+                })
             }
         };
         let mut st = AdState {
@@ -315,15 +364,13 @@ impl<'a> EngineCtx<'a> {
             // Greedy residual extension on the selection stream. Assigned
             // nodes are out for both sides: the residual optimum is over
             // the nodes this ad could still pick.
-            // Weighted accessors so reweighted pool tenants bound their
-            // *importance mass* — for unit-weight indexes they return the
-            // exact f64 image of the counts (< 2^53), so the f64 min-chain
-            // below is bit-identical to the former u64 arithmetic.
+            // Reweighted pool tenants bound their importance mass; on
+            // unit-weight indexes every mass is an exact set count (< 2^53).
             let ext = st.cov.greedy_extension(k, k, |v| assigned[v as usize]);
-            let ext_gain = ext.covered_weight - st.cov.covered_weight();
-            let top_k = st.cov.top_k_weight(k, |v| assigned[v as usize]);
+            let ext_gain = ext.covered - st.cov.covered();
+            let top_k = st.cov.top_k(k, |v| assigned[v as usize]);
             let greedy_ub = ext_gain / (1.0 - (-1.0f64).exp());
-            let residual_ub = top_k.min(ext_gain + ext.residual_top_weight).min(greedy_ub);
+            let residual_ub = top_k.min(ext_gain + ext.residual_top).min(greedy_ub);
             // Validation-stream counts: the index already tracks the
             // committed set, so only the extension is applied on a scratch
             // clone. `achieved` includes the committed coverage.
@@ -430,9 +477,9 @@ impl<'a> EngineCtx<'a> {
         let headroom = ad.budget - rho;
         let mut s_new = st.s_latent.max(st.seeds.len());
         if headroom > 0.0 && st.theta > 0 {
-            // Weighted accessor: exact f64 image of the count for
-            // unit-weight indexes, importance mass for reweighted tenants.
-            let fmax = st.cov.max_coverage_weight(|v| assigned[v as usize]) / st.theta as f64;
+            // Set count for unit-weight indexes, importance mass for
+            // reweighted tenants.
+            let fmax = st.cov.max_coverage(|v| assigned[v as usize]) / st.theta as f64;
             let denom = inst.incentives[st.idx].cmax() + ad.cpe * n as f64 * fmax;
             if denom > 0.0 {
                 s_new += (headroom / denom).floor() as usize;

@@ -283,7 +283,7 @@ impl<'a> ResidentEngine<'a> {
             ids,
             self.pr_orders.as_deref().unwrap_or(&[]),
             &self.assigned,
-            self.rr_pool.as_ref(),
+            self.rr_pool.as_mut(),
         );
         for st in states {
             let j = st.idx;

@@ -135,24 +135,6 @@ impl DiffusionModel {
         DiffusionModel::Tic { tic, gamma }
     }
 
-    /// Binds `params` to a model family: IC passes probabilities through,
-    /// LT water-fills them into feasible in-weights.
-    ///
-    /// # Panics
-    /// Panics for [`DiffusionKind::TopicAwareCascade`]: a TIC model carries
-    /// a per-topic table and a mixture, not flat per-edge parameters —
-    /// construct it via [`DiffusionModel::tic`].
-    pub fn from_kind(kind: DiffusionKind, g: &CsrGraph, params: AdProbs) -> Self {
-        match kind {
-            DiffusionKind::IndependentCascade => DiffusionModel::ic(params),
-            DiffusionKind::LinearThreshold => DiffusionModel::lt(g, params),
-            DiffusionKind::TopicAwareCascade => panic!(
-                "TIC models are not defined by flat per-edge parameters; \
-                 construct via DiffusionModel::tic"
-            ),
-        }
-    }
-
     /// Which family this model belongs to.
     pub fn kind(&self) -> DiffusionKind {
         match self {

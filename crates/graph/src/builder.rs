@@ -43,11 +43,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of raw (pre-cleanup) edges added so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds a directed edge `u -> v`. Out-of-range endpoints panic at build
     /// time in debug builds.
     #[inline]

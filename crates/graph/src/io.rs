@@ -244,12 +244,6 @@ pub fn read_edge_list_compacted_with_stats<R: BufRead>(
     ))
 }
 
-/// Reads an edge list from a file path.
-pub fn read_edge_list_file(path: impl AsRef<Path>) -> io::Result<CsrGraph> {
-    let f = std::fs::File::open(path)?;
-    read_edge_list(io::BufReader::new(f))
-}
-
 /// Writes the graph as an edge list.
 pub fn write_edge_list<W: Write>(g: &CsrGraph, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);

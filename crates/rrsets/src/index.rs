@@ -3,10 +3,11 @@
 //!
 //! The index supports exactly the operations TI-CARM / TI-CSRM (Alg. 2) need:
 //!
-//! * `coverage(v)` — number of *currently uncovered* sets containing `v`;
+//! * `coverage(v)` — mass of the *currently uncovered* sets containing `v`
+//!   (their number, or their importance weight on a weighted index);
 //!   `n · coverage(v) / θ` is the marginal-spread estimate of `v`;
 //! * `cover_with(v)` — commit `v` as a seed: mark its sets covered and
-//!   decrement other members' counts (Alg. 2 line 14);
+//!   decrement other members' coverage (Alg. 2 line 14);
 //! * `add_batch(..)` — grow the sample after a latent-size update; new sets
 //!   already hit by an existing seed are recorded as covered on arrival,
 //!   which is Algorithm 3's `UpdateEstimates` in incremental form;
@@ -23,7 +24,7 @@
 //! append to a pending tail instead of triggering a rebuild; rebuilds fire
 //! once the tail (or the covered fraction) is worth folding in, and also
 //! *compact*: sets covered by committed seeds are dropped from both
-//! directions (their contribution lives on in `covered_total`), so resident
+//! directions (their mass lives on in `covered()`), so resident
 //! memory tracks the live sample instead of everything ever ingested.
 //!
 //! Each ingest writes every live entry once: a batch that triggers a
@@ -82,6 +83,12 @@ fn varint_read(bytes: &[u8], k: &mut usize) -> u32 {
 /// Only *live* (uncovered) sets occupy storage; `covered` flags sets covered
 /// since the last `add_batch` rebuild. The θ denominator is the separate
 /// `total_sets` counter, which keeps counting dropped sets.
+///
+/// Every query reports RR-set *mass* as `f64`: a set weighs 1 on a plain
+/// index ([`Self::new`]) and its importance weight on a
+/// [weighted](Self::new_weighted) one. On a plain index each mass is the
+/// exact `f64` image of a set count (counts stay far below 2⁵³), so sums,
+/// maxima and comparisons over masses equal their integer counterparts.
 #[derive(Clone, Debug)]
 pub struct RrCoverage {
     n: usize,
@@ -108,25 +115,26 @@ pub struct RrCoverage {
     /// Current uncovered-set count per node.
     cov: Vec<u32>,
     /// Sets covered by committed seeds (numerator of the spread estimate).
-    covered_total: usize,
+    covered_sets: usize,
     /// Sets ever added (the θ denominator), including compacted-away ones.
     total_sets: usize,
-    /// `true` iff the index carries per-set importance weights (pooled
-    /// cross-advertiser samples, `crate::pool`). Unweighted indexes keep the
-    /// weighted side streams empty so their memory accounting and code paths
-    /// are bit-identical to the pre-pool implementation.
-    weighted: bool,
-    /// Per-live-set importance weight, parallel to `covered` (empty when
-    /// unweighted — every set counts 1).
-    weights: Vec<f32>,
-    /// Weighted current coverage per node, parallel to `cov` (empty when
-    /// unweighted). Maintained incrementally and recomputed from scratch on
-    /// every rebuild, so float drift from repeated subtraction is reset at
-    /// each compaction.
-    wcov: Vec<f64>,
-    /// Weighted covered total (the numerator of the weighted spread
-    /// estimate); 0 when unweighted — use [`Self::covered_weight`].
-    covered_weight: f64,
+    /// Per-set importance weights (pooled cross-advertiser samples,
+    /// `crate::pool`); `None` on a plain index, whose memory accounting and
+    /// code paths carry no weight storage at all.
+    weights: Option<WeightColumn>,
+}
+
+/// The weight side of a [weighted](RrCoverage::new_weighted) index.
+#[derive(Clone, Debug)]
+struct WeightColumn {
+    /// Importance weight per live set, parallel to `RrCoverage::covered`.
+    per_set: Vec<f32>,
+    /// Uncovered weight per node, parallel to `RrCoverage::cov`. Maintained
+    /// incrementally and recomputed from scratch on every rebuild, so float
+    /// drift from repeated subtraction is reset at each compaction.
+    cov: Vec<f64>,
+    /// Weight of the sets covered by committed seeds.
+    covered: f64,
 }
 
 impl Default for RrCoverage {
@@ -139,7 +147,7 @@ impl Default for RrCoverage {
 }
 
 impl RrCoverage {
-    /// Empty index for a graph with `n` nodes.
+    /// Empty index for a graph with `n` nodes; every set weighs 1.
     pub fn new(n: usize) -> Self {
         RrCoverage {
             n,
@@ -151,25 +159,23 @@ impl RrCoverage {
             indexed_sets: 0,
             covered_live: 0,
             cov: vec![0; n],
-            covered_total: 0,
+            covered_sets: 0,
             total_sets: 0,
-            weighted: false,
-            weights: Vec::new(),
-            wcov: Vec::new(),
-            covered_weight: 0.0,
+            weights: None,
         }
     }
 
     /// Empty *weighted* index for a graph with `n` nodes: every ingested set
-    /// carries an importance weight (default 1), and the weighted accessors
-    /// ([`Self::coverage_weight`], [`Self::covered_weight`],
-    /// [`Self::top_k_weight`], [`Self::max_coverage_weight`]) report weight
-    /// sums instead of counts. Used by the shared RR pool's reweighted
-    /// tenants (`crate::pool`).
+    /// carries an importance weight (default 1), and every mass query sums
+    /// weights. Used by the shared RR pool's reweighted tenants
+    /// (`crate::pool`).
     pub fn new_weighted(n: usize) -> Self {
         RrCoverage {
-            weighted: true,
-            wcov: vec![0.0; n],
+            weights: Some(WeightColumn {
+                per_set: Vec::new(),
+                cov: vec![0.0; n],
+                covered: 0.0,
+            }),
             ..RrCoverage::new(n)
         }
     }
@@ -177,7 +183,7 @@ impl RrCoverage {
     /// `true` iff this index carries per-set importance weights.
     #[inline]
     pub fn is_weighted(&self) -> bool {
-        self.weighted
+        self.weights.is_some()
     }
 
     /// Total number of sets ever added (the θ denominator).
@@ -186,44 +192,26 @@ impl RrCoverage {
         self.total_sets
     }
 
-    /// Number of sets covered by the committed seeds.
+    /// Mass of the sets covered by the committed seeds (the numerator of
+    /// the spread estimate).
     #[inline]
-    pub fn covered_total(&self) -> usize {
-        self.covered_total
-    }
-
-    /// Weight of the sets covered by the committed seeds. For an unweighted
-    /// index this is exactly `covered_total() as f64` (bit-identical — the
-    /// conversion is exact for any feasible θ).
-    #[inline]
-    pub fn covered_weight(&self) -> f64 {
-        if self.weighted {
-            self.covered_weight
-        } else {
-            self.covered_total as f64
+    pub fn covered(&self) -> f64 {
+        match &self.weights {
+            None => self.covered_sets as f64,
+            Some(w) => w.covered,
         }
     }
 
-    /// Current (marginal) coverage of node `v`.
+    /// Uncovered mass of the sets containing `v` (its marginal coverage). A
+    /// weighted node whose sets are all covered reports exactly 0, whatever
+    /// residue float drift left in its incremental weight sum.
     #[inline]
-    pub fn coverage(&self, v: NodeId) -> u32 {
-        self.cov[v as usize]
-    }
-
-    /// Weighted current (marginal) coverage of node `v`. For an unweighted
-    /// index this is exactly `f64::from(coverage(v))`. Gated on the integer
-    /// count so that a node whose sets are all covered reports exactly 0
-    /// even if float drift left a residue in the incremental weight sum.
-    #[inline]
-    pub fn coverage_weight(&self, v: NodeId) -> f64 {
-        if self.weighted {
-            if self.cov[v as usize] == 0 {
-                0.0
-            } else {
-                self.wcov[v as usize].max(0.0)
-            }
-        } else {
-            f64::from(self.cov[v as usize])
+    pub fn coverage(&self, v: NodeId) -> f64 {
+        let count = self.cov[v as usize];
+        match &self.weights {
+            None => f64::from(count),
+            Some(_) if count == 0 => 0.0,
+            Some(w) => w.cov[v as usize].max(0.0),
         }
     }
 
@@ -266,7 +254,10 @@ impl RrCoverage {
     ) -> usize {
         // INVARIANT: API contract — a weight per ingested set, on a
         // weighted index only.
-        assert!(self.weighted, "add_range_weighted needs new_weighted()");
+        assert!(
+            self.is_weighted(),
+            "add_range_weighted needs new_weighted()"
+        );
         // INVARIANT: API contract (see above).
         assert_eq!(weights.len(), hi - lo, "one weight per ingested set");
         self.add_range_impl(sets, lo, hi, is_seed, Some(weights))
@@ -297,11 +288,11 @@ impl RrCoverage {
                 let set = sets.get(i);
                 let hit = set.iter().any(|&u| is_seed[u as usize]);
                 if hit {
-                    // Covered on arrival: contributes to `covered_total`
+                    // Covered on arrival: contributes to the covered mass
                     // and θ, occupies no storage.
-                    self.covered_total += 1;
-                    if self.weighted {
-                        self.covered_weight += f64::from(batch.weight(i));
+                    self.covered_sets += 1;
+                    if let Some(w) = &mut self.weights {
+                        w.covered += f64::from(batch.weight(i));
                     }
                     arrived_covered += 1;
                     batch.count -= 1;
@@ -330,16 +321,16 @@ impl RrCoverage {
         // INVARIANT: entry counts are capped far below u32::MAX by the
         // sample-size valve; overflow indicates a sizing bug, not data.
         let to_u32 = |len: usize| u32::try_from(len).expect("coverage index exceeds u32 entries");
-        batch.for_each_live(|set, w| {
+        batch.for_each_live(|set, weight| {
             for &u in set {
                 self.cov[u as usize] += 1;
             }
-            if self.weighted {
-                let wf = f64::from(w);
+            if let Some(w) = &mut self.weights {
+                let wf = f64::from(weight);
                 for &u in set {
-                    self.wcov[u as usize] += wf;
+                    w.cov[u as usize] += wf;
                 }
-                self.weights.push(w);
+                w.per_set.push(weight);
             }
             self.set_nodes.extend_from_slice(set);
             self.set_offsets.push(to_u32(self.set_nodes.len()));
@@ -359,11 +350,10 @@ impl RrCoverage {
         let live_count = self.covered.len() - self.covered_live + batch.count;
         let mut nodes: Vec<NodeId> = Vec::with_capacity(live_entries);
         let mut offsets: Vec<u32> = Vec::with_capacity(live_count + 1);
-        let mut weights: Vec<f32> = if self.weighted {
-            Vec::with_capacity(live_count)
-        } else {
-            Vec::new()
-        };
+        let mut per_set: Option<Vec<f32>> = self
+            .weights
+            .as_ref()
+            .map(|_| Vec::with_capacity(live_count));
         offsets.push(0);
         // INVARIANT: same u32 sizing cap as `append`.
         let to_u32 = |len: usize| u32::try_from(len).expect("coverage index exceeds u32 entries");
@@ -372,18 +362,18 @@ impl RrCoverage {
                 &self.set_nodes[self.set_offsets[sid] as usize..self.set_offsets[sid + 1] as usize],
             );
             offsets.push(to_u32(nodes.len()));
-            if self.weighted {
-                weights.push(self.weights[sid]);
+            if let (Some(out), Some(w)) = (&mut per_set, &self.weights) {
+                out.push(w.per_set[sid]);
             }
         }
-        batch.for_each_live(|set, w| {
+        batch.for_each_live(|set, weight| {
             for &u in set {
                 self.cov[u as usize] += 1;
             }
             nodes.extend_from_slice(set);
             offsets.push(to_u32(nodes.len()));
-            if self.weighted {
-                weights.push(w);
+            if let Some(out) = &mut per_set {
+                out.push(weight);
             }
         });
         self.set_offsets = offsets;
@@ -391,7 +381,6 @@ impl RrCoverage {
         self.covered = vec![false; live_count];
         self.covered_live = 0;
         self.indexed_sets = live_count;
-        self.weights = weights;
 
         // Sizing pass first: per-node encoded byte length, prefix-summed
         // into offsets. For weighted indexes the pass also recomputes the
@@ -399,22 +388,21 @@ impl RrCoverage {
         // drift at every rebuild.
         let mut byte_len = vec![0u32; self.n];
         let mut prev = vec![0u32; self.n];
-        if self.weighted {
-            self.wcov.fill(0.0);
+        if let (Some(w), Some(per_set)) = (&mut self.weights, per_set) {
+            w.per_set = per_set;
+            w.cov.fill(0.0);
         }
         for sid in 0..live_count {
             let a = self.set_offsets[sid] as usize;
             let b = self.set_offsets[sid + 1] as usize;
-            let w = if self.weighted {
-                f64::from(self.weights[sid])
-            } else {
-                0.0
-            };
             for &u in &self.set_nodes[a..b] {
                 byte_len[u as usize] += varint_len(sid as u32 - prev[u as usize]);
                 prev[u as usize] = sid as u32;
-                if self.weighted {
-                    self.wcov[u as usize] += w;
+            }
+            if let Some(w) = &mut self.weights {
+                let x = f64::from(w.per_set[sid]);
+                for &u in &self.set_nodes[a..b] {
+                    w.cov[u as usize] += x;
                 }
             }
         }
@@ -451,7 +439,7 @@ impl RrCoverage {
 
     /// Commits `v` as a seed: covers all its uncovered sets, decrementing the
     /// coverage of every other member node. Returns the number of newly
-    /// covered sets (the marginal coverage of `v` at commit time).
+    /// covered sets.
     pub fn cover_with(&mut self, v: NodeId) -> u32 {
         let mut k = self.inv_offsets[v as usize] as usize;
         let end = self.inv_offsets[v as usize + 1] as usize;
@@ -475,118 +463,35 @@ impl RrCoverage {
             }
         }
         debug_assert_eq!(self.cov[v as usize], 0);
-        self.covered_total += newly as usize;
+        self.covered_sets += newly as usize;
         self.covered_live += newly as usize;
         newly
     }
 
-    /// Tombstones every live set containing `v`: the sets leave the
-    /// estimator entirely — members' coverage counts drop **and the θ
-    /// denominator ([`Self::num_sets`]) shrinks** — unlike
-    /// [`Self::cover_with`], which moves covered sets into the numerator.
-    /// Storage is reclaimed lazily by the next rebuild ([`Self::compact`]
-    /// forces one immediately). Returns the number of sets tombstoned.
-    ///
-    /// This is the invalidation half of a tombstone-and-reingest repair:
-    /// tombstoning decrements `num_sets` and a later
-    /// [`Self::add_batch`]/[`Self::add_range`] of the replacement sets
-    /// re-increments it, so θ is preserved across the pair. Sets already
-    /// covered by committed seeds are *not* touched — they hold no storage
-    /// (or are flagged covered) and their contribution stays in
-    /// [`Self::covered_total`].
-    pub fn tombstone_containing(&mut self, v: NodeId) -> usize {
-        let mut k = self.inv_offsets[v as usize] as usize;
-        let end = self.inv_offsets[v as usize + 1] as usize;
-        let mut sid = 0u32;
-        let mut dropped = 0usize;
-        while k < end {
-            sid += varint_read(&self.inv_bytes, &mut k);
-            if !self.covered[sid as usize] {
-                self.drop_set(sid as usize);
-                dropped += 1;
-            }
-        }
-        // Pending sets are not in the inverted CSR yet: scan the tail, as
-        // `cover_with` does.
-        for sid in self.indexed_sets..self.covered.len() {
-            let a = self.set_offsets[sid] as usize;
-            let b = self.set_offsets[sid + 1] as usize;
-            if !self.covered[sid] && self.set_nodes[a..b].contains(&v) {
-                self.drop_set(sid);
-                dropped += 1;
-            }
-        }
-        debug_assert_eq!(self.cov[v as usize], 0);
-        self.covered_live += dropped;
-        self.total_sets -= dropped;
-        dropped
-    }
-
-    /// Marks one live set dropped (tombstoned), decrementing its members'
-    /// counts without crediting `covered_total`/`covered_weight` — the
-    /// set leaves both the numerator and (via the caller's `total_sets`
-    /// decrement) the denominator. Reuses the `covered` flag as the
-    /// tombstone: every downstream path (traversal skips, rebuild drops)
-    /// already treats flagged sets as gone.
-    fn drop_set(&mut self, sid: usize) {
-        self.covered[sid] = true;
-        let a = self.set_offsets[sid] as usize;
-        let b = self.set_offsets[sid + 1] as usize;
-        if self.weighted {
-            let w = f64::from(self.weights[sid]);
-            for &u in &self.set_nodes[a..b] {
-                self.cov[u as usize] -= 1;
-                self.wcov[u as usize] -= w;
-            }
-        } else {
-            for &u in &self.set_nodes[a..b] {
-                self.cov[u as usize] -= 1;
-            }
-        }
-    }
-
-    /// Marks one live set covered, decrementing its members' counts.
+    /// Marks one live set covered, decrementing its members' coverage.
     fn cover_set(&mut self, sid: usize) {
         self.covered[sid] = true;
-        let a = self.set_offsets[sid] as usize;
-        let b = self.set_offsets[sid + 1] as usize;
-        if self.weighted {
-            let w = f64::from(self.weights[sid]);
-            self.covered_weight += w;
-            for &u in &self.set_nodes[a..b] {
-                self.cov[u as usize] -= 1;
-                self.wcov[u as usize] -= w;
-            }
-        } else {
-            for &w in &self.set_nodes[a..b] {
-                self.cov[w as usize] -= 1;
+        let members =
+            &self.set_nodes[self.set_offsets[sid] as usize..self.set_offsets[sid + 1] as usize];
+        for &u in members {
+            self.cov[u as usize] -= 1;
+        }
+        if let Some(w) = &mut self.weights {
+            let x = f64::from(w.per_set[sid]);
+            w.covered += x;
+            for &u in members {
+                w.cov[u as usize] -= x;
             }
         }
     }
 
-    /// Maximum current coverage over nodes not excluded by `skip`
-    /// (linear scan; used for `F^max` in the latent-size rule, Eq. 10).
-    pub fn max_coverage(&self, skip: impl Fn(NodeId) -> bool) -> u32 {
-        let mut best = 0;
-        for v in 0..self.n as NodeId {
-            if !skip(v) {
-                best = best.max(self.cov[v as usize]);
-            }
-        }
-        best
-    }
-
-    /// Maximum current *weighted* coverage over nodes not excluded by
-    /// `skip`. For an unweighted index this is exactly
-    /// `f64::from(max_coverage(skip))`.
-    pub fn max_coverage_weight(&self, skip: impl Fn(NodeId) -> bool) -> f64 {
-        if !self.weighted {
-            return f64::from(self.max_coverage(skip));
-        }
+    /// Largest [`Self::coverage`] over nodes not excluded by `skip`
+    /// (linear scan; `F^max` in the latent-size rule, Eq. 10).
+    pub fn max_coverage(&self, skip: impl Fn(NodeId) -> bool) -> f64 {
         let mut best = 0.0f64;
         for v in 0..self.n as NodeId {
             if !skip(v) {
-                best = best.max(self.coverage_weight(v));
+                best = best.max(self.coverage(v));
             }
         }
         best
@@ -611,7 +516,9 @@ impl RrCoverage {
         self.inv_offsets.shrink_to_fit();
         self.inv_bytes.shrink_to_fit();
         self.covered.shrink_to_fit();
-        self.weights.shrink_to_fit();
+        if let Some(w) = &mut self.weights {
+            w.per_set.shrink_to_fit();
+        }
     }
 
     /// Exactly what [`Self::memory_bytes`] would report after
@@ -642,8 +549,10 @@ impl RrCoverage {
             + inv_bytes
             + 4 * self.cov.capacity()
             + live
-            + if self.weighted { 4 * live } else { 0 }
-            + 8 * self.wcov.capacity()
+            + self
+                .weights
+                .as_ref()
+                .map_or(0, |w| 4 * live + 8 * w.cov.capacity())
     }
 
     /// Resident bytes of the index: flattened sets, the inverted CSR, and
@@ -658,54 +567,28 @@ impl RrCoverage {
             + self.inv_bytes.capacity()
             + 4 * self.cov.capacity()
             + self.covered.capacity()
-            // Weighted side streams; both capacities are 0 when unweighted,
-            // so the pre-pool accounting is unchanged byte for byte.
-            + 4 * self.weights.capacity()
-            + 8 * self.wcov.capacity()
+            + self
+                .weights
+                .as_ref()
+                .map_or(0, |w| 4 * w.per_set.capacity() + 8 * w.cov.capacity())
     }
 
-    /// Sum of the `k` largest current coverage counts over nodes not
+    /// Sum of the `k` largest [`Self::coverage`] masses over nodes not
     /// excluded by `skip`. By submodularity this bounds the coverage any
     /// size-`k` set can add on top of the committed seeds:
-    /// `Λ(T ∪ S) ≤ Λ(S) + Σ_{v∈T} Λ(v | S) ≤ Λ(S) + top_k_sum` — the
-    /// `OPT` side of the online stopping rule (`opim`).
-    pub fn top_k_sum(&self, k: usize, skip: impl Fn(NodeId) -> bool) -> u64 {
-        if k == 0 {
-            return 0;
-        }
-        let mut tops: Vec<u32> = (0..self.n as NodeId)
-            .filter(|&v| !skip(v))
-            .map(|v| self.cov[v as usize])
-            .filter(|&c| c > 0)
-            .collect();
-        if tops.len() > k {
-            tops.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
-            tops.truncate(k);
-        }
-        tops.into_iter().map(u64::from).sum()
-    }
-
-    /// Weighted [`Self::top_k_sum`]: the `k` largest *weighted* marginal
-    /// coverages, the submodularity bound on the weighted coverage any
-    /// size-`k` extension can add. For an unweighted index this is exactly
-    /// `top_k_sum(k, skip) as f64` (the conversion is exact — counts stay
-    /// far below 2⁵³).
-    pub fn top_k_weight(&self, k: usize, skip: impl Fn(NodeId) -> bool) -> f64 {
-        if !self.weighted {
-            return self.top_k_sum(k, skip) as f64;
-        }
+    /// `Λ(T ∪ S) ≤ Λ(S) + Σ_{v∈T} Λ(v | S) ≤ Λ(S) + top_k` — the `OPT` side
+    /// of the online stopping rule (`opim`).
+    pub fn top_k(&self, k: usize, skip: impl Fn(NodeId) -> bool) -> f64 {
         if k == 0 {
             return 0.0;
         }
         let mut tops: Vec<f64> = (0..self.n as NodeId)
             .filter(|&v| !skip(v))
-            .map(|v| self.coverage_weight(v))
+            .map(|v| self.coverage(v))
             .filter(|&c| c > 0.0)
             .collect();
         if tops.len() > k {
-            tops.select_nth_unstable_by(k - 1, |a, b| {
-                b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
-            });
+            tops.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
             tops.truncate(k);
         }
         tops.into_iter().sum()
@@ -713,10 +596,10 @@ impl RrCoverage {
 
     /// Greedy `k`-extension oracle for the online stopping rule: greedily
     /// covers `k` further nodes on a scratch clone (`self` is untouched) and
-    /// reports the extension picks, the total covered count afterwards, and
-    /// the post-extension [`Self::top_k_sum`] over `residual_k` nodes (the
-    /// tight submodularity bound on what any further `residual_k` picks
-    /// could still add).
+    /// reports the extension picks, the covered mass afterwards, and the
+    /// post-extension [`Self::top_k`] over `residual_k` nodes (the tight
+    /// submodularity bound on what any further `residual_k` picks could
+    /// still add). Ties go to the lowest node id.
     pub fn greedy_extension(
         &self,
         k: usize,
@@ -726,16 +609,12 @@ impl RrCoverage {
         let mut scratch = self.clone();
         let mut picks = Vec::with_capacity(k);
         for _ in 0..k {
-            // One loop serves both flavors: for an unweighted index
-            // `coverage_weight` is the exact f64 image of the u32 count, so
-            // the comparison (and hence every pick and tie-break) is
-            // bit-identical to the historical integer loop.
             let mut best: Option<(NodeId, f64)> = None;
             for v in 0..scratch.n as NodeId {
                 if skip(v) {
                     continue;
                 }
-                let c = scratch.coverage_weight(v);
+                let c = scratch.coverage(v);
                 if c > 0.0 && best.is_none_or(|(_, bc)| c > bc) {
                     best = Some((v, c));
                 }
@@ -744,20 +623,10 @@ impl RrCoverage {
             scratch.cover_with(v);
             picks.push(v);
         }
-        let covered = scratch.covered_total();
-        let covered_weight = scratch.covered_weight();
-        let residual_top = scratch.top_k_sum(residual_k, &skip);
-        let residual_top_weight = if scratch.weighted {
-            scratch.top_k_weight(residual_k, &skip)
-        } else {
-            residual_top as f64
-        };
         GreedyExtension {
             picks,
-            covered,
-            covered_weight,
-            residual_top,
-            residual_top_weight,
+            covered: scratch.covered(),
+            residual_top: scratch.top_k(residual_k, &skip),
         }
     }
 
@@ -781,8 +650,9 @@ impl RrCoverage {
         }
     }
 
-    /// Covered counts after committing `base` and then `ext` (`self` is
-    /// untouched): returns
+    /// Covered *set counts* after committing `base` and then `ext` (`self`
+    /// is untouched), for a unit-weight index such as the stopping rule's
+    /// validation stream: returns
     /// `(covered(base ∪ ext), covered(base ∪ ext) − covered(base))` — the
     /// achieved total and the extension's share, the two validation-stream
     /// counts of the online stopping rule.
@@ -796,6 +666,10 @@ impl RrCoverage {
     /// (forward CSR + inverted CSR + per-node counts) this used to build per
     /// call on the stopping rule's validation path.
     pub fn coverage_split(&self, base: &[NodeId], ext: &[NodeId]) -> (usize, usize) {
+        debug_assert!(
+            !self.is_weighted(),
+            "coverage_split counts unit-weight sets"
+        );
         let nwords = self.covered.len().div_ceil(64);
         let mut covered_words = vec![0u64; nwords];
         for (sid, &c) in self.covered.iter().enumerate() {
@@ -814,15 +688,7 @@ impl RrCoverage {
         }
         union_into(&mut all_bits, &base_bits);
         let newly_all = count_and_not(&all_bits, &covered_words);
-        (self.covered_total() + newly_all, newly_all - newly_base)
-    }
-
-    /// Plain greedy max-coverage of size `k` (test oracle).
-    /// Does not mutate the index. One greedy loop serves both this oracle
-    /// and the stopping rule's extension ([`Self::greedy_extension`]), so
-    /// their tie-breaking cannot diverge.
-    pub fn greedy_max_coverage(&self, k: usize) -> Vec<NodeId> {
-        self.greedy_extension(k, 0, |_| false).picks
+        (self.covered_sets + newly_all, newly_all - newly_base)
     }
 }
 
@@ -878,16 +744,10 @@ pub struct GreedyExtension {
     /// Nodes picked greedily, in pick order (may be shorter than `k` when
     /// coverage runs out).
     pub picks: Vec<NodeId>,
-    /// Total covered sets after the extension (committed + extension).
-    pub covered: usize,
-    /// Total covered *weight* after the extension; equals `covered as f64`
-    /// exactly for unweighted indexes.
-    pub covered_weight: f64,
-    /// Post-extension top-`residual_k` marginal coverage sum.
-    pub residual_top: u64,
-    /// Weighted [`Self::residual_top`]; equals `residual_top as f64` exactly
-    /// for unweighted indexes.
-    pub residual_top_weight: f64,
+    /// Covered mass after the extension (committed + extension).
+    pub covered: f64,
+    /// Post-extension [`RrCoverage::top_k`] over `residual_k` nodes.
+    pub residual_top: f64,
 }
 
 /// CELF-style lazy-greedy max-heap over `(key, node)` pairs.
@@ -1145,10 +1005,10 @@ mod tests {
     #[test]
     fn coverage_counts() {
         let idx = build(4, &[&[0, 1], &[1, 2], &[1], &[3]]);
-        assert_eq!(idx.coverage(0), 1);
-        assert_eq!(idx.coverage(1), 3);
-        assert_eq!(idx.coverage(2), 1);
-        assert_eq!(idx.coverage(3), 1);
+        assert_eq!(idx.coverage(0), 1.0);
+        assert_eq!(idx.coverage(1), 3.0);
+        assert_eq!(idx.coverage(2), 1.0);
+        assert_eq!(idx.coverage(3), 1.0);
     }
 
     #[test]
@@ -1156,10 +1016,10 @@ mod tests {
         let mut idx = build(4, &[&[0, 1], &[1, 2], &[1], &[3]]);
         let newly = idx.cover_with(1);
         assert_eq!(newly, 3);
-        assert_eq!(idx.covered_total(), 3);
-        assert_eq!(idx.coverage(0), 0);
-        assert_eq!(idx.coverage(2), 0);
-        assert_eq!(idx.coverage(3), 1);
+        assert_eq!(idx.covered(), 3.0);
+        assert_eq!(idx.coverage(0), 0.0);
+        assert_eq!(idx.coverage(2), 0.0);
+        assert_eq!(idx.coverage(3), 1.0);
         // Covering again yields nothing new.
         assert_eq!(idx.cover_with(1), 0);
     }
@@ -1175,24 +1035,24 @@ mod tests {
         let covered = idx.add_batch(&batch, &seeds);
         assert_eq!(covered, 1);
         assert_eq!(idx.num_sets(), 3);
-        assert_eq!(idx.covered_total(), 2);
+        assert_eq!(idx.covered(), 2.0);
         // Node 1 gets no coverage from the seed-covered set.
-        assert_eq!(idx.coverage(1), 0);
-        assert_eq!(idx.coverage(2), 1);
+        assert_eq!(idx.coverage(1), 0.0);
+        assert_eq!(idx.coverage(2), 1.0);
     }
 
     #[test]
-    fn greedy_max_coverage_picks_hub_first() {
+    fn greedy_extension_picks_hub_first() {
         let idx = build(5, &[&[0, 1], &[0, 2], &[0, 3], &[4]]);
-        let picked = idx.greedy_max_coverage(2);
+        let picked = idx.greedy_extension(2, 0, |_| false).picks;
         assert_eq!(picked, vec![0, 4]);
     }
 
     #[test]
     fn max_coverage_respects_skip() {
         let idx = build(3, &[&[0], &[0], &[1]]);
-        assert_eq!(idx.max_coverage(|_| false), 2);
-        assert_eq!(idx.max_coverage(|v| v == 0), 1);
+        assert_eq!(idx.max_coverage(|_| false), 2.0);
+        assert_eq!(idx.max_coverage(|v| v == 0), 1.0);
     }
 
     #[test]
@@ -1246,8 +1106,8 @@ mod tests {
             "compaction should reclaim covered sets: {} vs {before}",
             idx.memory_bytes()
         );
-        assert_eq!(idx.covered_total(), 400);
-        assert_eq!(idx.coverage(1), 1);
+        assert_eq!(idx.covered(), 400.0);
+        assert_eq!(idx.coverage(1), 1.0);
         // The rebuild writes exact-capacity arrays, so the capacity-based
         // accounting must equal the live footprint — no stale slack.
         assert_exact_accounting(&idx);
@@ -1262,15 +1122,17 @@ mod tests {
         assert_eq!(idx.inv_offsets.capacity(), idx.inv_offsets.len());
         assert_eq!(idx.inv_bytes.capacity(), idx.inv_bytes.len());
         assert_eq!(idx.covered.capacity(), idx.covered.len());
-        assert_eq!(idx.weights.capacity(), idx.weights.len());
+        let weight_bytes = idx.weights.as_ref().map_or(0, |w| {
+            assert_eq!(w.per_set.capacity(), w.per_set.len());
+            4 * w.per_set.len() + 8 * w.cov.capacity()
+        });
         let live = 4 * idx.set_nodes.len()
             + 4 * idx.set_offsets.len()
             + 4 * idx.inv_offsets.len()
             + idx.inv_bytes.len()
             + 4 * idx.cov.capacity()
             + idx.covered.len()
-            + 4 * idx.weights.len()
-            + 8 * idx.wcov.capacity();
+            + weight_bytes;
         assert_eq!(idx.memory_bytes(), live);
     }
 
@@ -1300,9 +1162,9 @@ mod tests {
         assert_exact_accounting(&idx);
         // Queries survive compaction untouched.
         assert_eq!(idx.num_sets(), 400, "θ keeps counting dropped sets");
-        assert_eq!(idx.covered_total(), 400);
-        assert_eq!(idx.coverage(0), 0);
-        assert_eq!(idx.coverage(1), 0);
+        assert_eq!(idx.covered(), 400.0);
+        assert_eq!(idx.coverage(0), 0.0);
+        assert_eq!(idx.coverage(1), 0.0);
         // And the index stays fully usable after compaction.
         let more: RrArena = (0..4u32).map(|i| vec![1 + i]).collect();
         idx.add_batch(&more, &{
@@ -1311,84 +1173,20 @@ mod tests {
             s
         });
         assert_eq!(idx.num_sets(), 404);
-        assert_eq!(idx.coverage(1), 1);
+        assert_eq!(idx.coverage(1), 1.0);
         assert_eq!(idx.cover_with(1), 1);
     }
 
     #[test]
-    fn tombstone_removes_sets_from_both_sides_of_the_estimate() {
-        let mut idx = build(4, &[&[0, 1], &[1, 2], &[1], &[3]]);
-        // Tombstoning node 1's sets shrinks θ and the members' counts, and
-        // credits nothing to the covered numerator.
-        assert_eq!(idx.tombstone_containing(1), 3);
-        assert_eq!(idx.num_sets(), 1, "θ shrinks with the tombstoned sets");
-        assert_eq!(idx.covered_total(), 0);
-        assert_eq!(idx.coverage(0), 0);
-        assert_eq!(idx.coverage(2), 0);
-        assert_eq!(idx.coverage(3), 1);
-        // Tombstone-and-reingest preserves θ: adding 3 replacement sets
-        // restores the denominator.
-        let repl: RrArena = [&[0u32][..], &[2], &[0, 2]].into_iter().collect();
-        idx.add_batch(&repl, &[false; 4]);
-        assert_eq!(idx.num_sets(), 4);
-        assert_eq!(idx.coverage(0), 2);
-        // Tombstoning again is a no-op for already-dropped sets.
-        assert_eq!(idx.tombstone_containing(1), 0);
-    }
-
-    #[test]
-    fn tombstone_skips_covered_sets_and_compacts() {
-        let mut idx = build(4, &[&[0, 1], &[1, 2], &[3]]);
-        idx.cover_with(0);
-        // Set {0,1} is covered: tombstoning node 1 drops only {1,2}.
-        assert_eq!(idx.tombstone_containing(1), 1);
-        assert_eq!(idx.num_sets(), 2);
-        assert_eq!(idx.covered_total(), 1, "covered credit survives");
-        assert_eq!(idx.coverage(2), 0);
-        let before = idx.memory_bytes();
-        idx.compact();
-        assert!(
-            idx.memory_bytes() <= before,
-            "compact reclaims tombstoned storage"
-        );
-        // Still fully usable: the surviving set {3} covers as usual.
-        assert_eq!(idx.cover_with(3), 1);
-        assert_eq!(idx.covered_total(), 2);
-    }
-
-    #[test]
-    fn tombstone_reaches_the_pending_tail() {
-        let mut idx = build(6, &[&[0, 1], &[2]]);
-        // Small batch stays pending (below the fold threshold).
-        let tail: RrArena = [&[1u32, 3][..], &[4]].into_iter().collect();
-        idx.add_batch(&tail, &[false; 6]);
-        assert_eq!(idx.tombstone_containing(1), 2);
-        assert_eq!(idx.num_sets(), 2);
-        assert_eq!(idx.coverage(0), 0);
-        assert_eq!(idx.coverage(3), 0);
-        assert_eq!(idx.coverage(4), 1);
-    }
-
-    #[test]
-    fn weighted_tombstone_drops_weight_without_crediting_it() {
-        let mut idx = build_weighted(4, &[&[0, 1], &[1, 2], &[3]], &[0.5, 2.0, 4.0]);
-        assert_eq!(idx.tombstone_containing(1), 2);
-        assert_eq!(idx.num_sets(), 1);
-        assert_eq!(idx.covered_weight(), 0.0);
-        assert_eq!(idx.coverage_weight(0), 0.0);
-        assert_eq!(idx.coverage_weight(3), 4.0);
-    }
-
-    #[test]
-    fn top_k_sum_takes_the_largest_counts() {
+    fn top_k_takes_the_largest_masses() {
         let idx = build(5, &[&[0, 1], &[0, 2], &[0, 3], &[4]]);
         // cov = [3, 1, 1, 1, 1].
-        assert_eq!(idx.top_k_sum(1, |_| false), 3);
-        assert_eq!(idx.top_k_sum(2, |_| false), 4);
-        assert_eq!(idx.top_k_sum(10, |_| false), 7);
-        assert_eq!(idx.top_k_sum(0, |_| false), 0);
-        // Skipping the hub removes its count from the top.
-        assert_eq!(idx.top_k_sum(1, |v| v == 0), 1);
+        assert_eq!(idx.top_k(1, |_| false), 3.0);
+        assert_eq!(idx.top_k(2, |_| false), 4.0);
+        assert_eq!(idx.top_k(10, |_| false), 7.0);
+        assert_eq!(idx.top_k(0, |_| false), 0.0);
+        // Skipping the hub removes its mass from the top.
+        assert_eq!(idx.top_k(1, |v| v == 0), 1.0);
     }
 
     #[test]
@@ -1396,16 +1194,16 @@ mod tests {
         let idx = build(5, &[&[0, 1], &[0, 2], &[0, 3], &[4]]);
         let ext = idx.greedy_extension(1, 2, |_| false);
         assert_eq!(ext.picks, vec![0]);
-        assert_eq!(ext.covered, 3);
+        assert_eq!(ext.covered, 3.0);
         // After covering the hub only set {4} remains: residual top-2 = 1.
-        assert_eq!(ext.residual_top, 1);
+        assert_eq!(ext.residual_top, 1.0);
         // The original index is untouched.
-        assert_eq!(idx.covered_total(), 0);
-        assert_eq!(idx.coverage(0), 3);
+        assert_eq!(idx.covered(), 0.0);
+        assert_eq!(idx.coverage(0), 3.0);
         // Extending by everything covers everything, residual 0.
         let all = idx.greedy_extension(5, 5, |_| false);
-        assert_eq!(all.covered, 4);
-        assert_eq!(all.residual_top, 0);
+        assert_eq!(all.covered, 4.0);
+        assert_eq!(all.residual_top, 0.0);
     }
 
     #[test]
@@ -1414,13 +1212,13 @@ mod tests {
         idx.cover_with(4);
         let (total, gain) = idx.coverage_split(&[0], &[3]);
         // Untouched by the scratch computation.
-        assert_eq!(idx.covered_total(), 1);
+        assert_eq!(idx.covered(), 1.0);
         idx.cover_with(0);
-        let after_base = idx.covered_total();
+        let after_base = idx.covered();
         idx.cover_with(3);
-        assert_eq!(total, idx.covered_total());
+        assert_eq!(total as f64, idx.covered());
         assert_eq!(total, 4);
-        assert_eq!(gain, idx.covered_total() - after_base);
+        assert_eq!(gain as f64, idx.covered() - after_base);
     }
 
     #[test]
@@ -1446,14 +1244,12 @@ mod tests {
                 for &v in base {
                     scratch.cover_with(v);
                 }
-                let after_base = scratch.covered_total();
+                let after_base = scratch.covered() as usize;
                 for &v in ext {
                     scratch.cover_with(v);
                 }
-                let want = (
-                    scratch.covered_total(),
-                    scratch.covered_total() - after_base,
-                );
+                let after_ext = scratch.covered() as usize;
+                let want = (after_ext, after_ext - after_base);
                 assert_eq!(got, want, "split differs for base={base:?} ext={ext:?}");
             }
         }
@@ -1474,47 +1270,50 @@ mod tests {
 
     #[test]
     fn unweighted_accessors_mirror_counts_exactly() {
-        let mut idx = build(4, &[&[0, 1], &[1, 2], &[1], &[3]]);
-        assert!(!idx.is_weighted());
-        for v in 0..4u32 {
-            assert_eq!(idx.coverage_weight(v), f64::from(idx.coverage(v)));
+        // A plain index and a unit-weight weighted one report the same
+        // masses, bit for bit: the exact images of the set counts.
+        let sets: &[&[NodeId]] = &[&[0, 1], &[1, 2], &[1], &[3]];
+        let mut idx = build(4, sets);
+        let mut unit = build_weighted(4, sets, &[1.0; 4]);
+        assert!(!idx.is_weighted() && unit.is_weighted());
+        for (v, want) in [(0u32, 1.0), (1, 3.0), (2, 1.0), (3, 1.0)] {
+            assert_eq!(idx.coverage(v), want);
+            assert_eq!(unit.coverage(v).to_bits(), idx.coverage(v).to_bits());
         }
-        assert_eq!(idx.max_coverage_weight(|_| false), 3.0);
-        assert_eq!(
-            idx.top_k_weight(2, |_| false),
-            idx.top_k_sum(2, |_| false) as f64
-        );
-        idx.cover_with(1);
-        assert_eq!(idx.covered_weight(), idx.covered_total() as f64);
+        assert_eq!(idx.max_coverage(|_| false), 3.0);
+        assert_eq!(idx.top_k(2, |_| false), 4.0);
+        assert_eq!(idx.cover_with(1), unit.cover_with(1));
+        assert_eq!(idx.covered(), 3.0);
+        assert_eq!(unit.covered().to_bits(), idx.covered().to_bits());
         let ext = idx.greedy_extension(1, 1, |_| false);
-        assert_eq!(ext.covered_weight, ext.covered as f64);
-        assert_eq!(ext.residual_top_weight, ext.residual_top as f64);
+        let unit_ext = unit.greedy_extension(1, 1, |_| false);
+        assert_eq!(ext.picks, unit_ext.picks);
+        assert_eq!((ext.covered, ext.residual_top), (4.0, 0.0));
+        assert_eq!(unit_ext.covered.to_bits(), ext.covered.to_bits());
+        assert_eq!(unit_ext.residual_top.to_bits(), ext.residual_top.to_bits());
     }
 
     #[test]
     fn weighted_coverage_counts_weights() {
         let idx = build_weighted(4, &[&[0, 1], &[1, 2], &[1], &[3]], &[0.5, 2.0, 1.0, 4.0]);
         assert!(idx.is_weighted());
-        // Counts are still plain cardinalities …
-        assert_eq!(idx.coverage(1), 3);
-        // … while the weighted view sums importance weights.
-        assert_eq!(idx.coverage_weight(0), 0.5);
-        assert_eq!(idx.coverage_weight(1), 3.5);
-        assert_eq!(idx.coverage_weight(3), 4.0);
-        assert_eq!(idx.max_coverage_weight(|_| false), 4.0);
+        // Coverage sums importance weights, not set counts.
+        assert_eq!(idx.coverage(0), 0.5);
+        assert_eq!(idx.coverage(1), 3.5);
+        assert_eq!(idx.coverage(3), 4.0);
+        assert_eq!(idx.max_coverage(|_| false), 4.0);
         // Top-2 by weight: {4.0 (node 3), 3.5 (node 1)}.
-        assert_eq!(idx.top_k_weight(2, |_| false), 7.5);
+        assert_eq!(idx.top_k(2, |_| false), 7.5);
     }
 
     #[test]
-    fn weighted_cover_with_tracks_covered_weight() {
+    fn weighted_cover_with_tracks_covered_mass() {
         let mut idx = build_weighted(4, &[&[0, 1], &[1, 2], &[1], &[3]], &[0.5, 2.0, 1.0, 4.0]);
         assert_eq!(idx.cover_with(1), 3);
-        assert_eq!(idx.covered_total(), 3);
-        assert_eq!(idx.covered_weight(), 3.5);
-        assert_eq!(idx.coverage_weight(0), 0.0);
-        assert_eq!(idx.coverage_weight(2), 0.0);
-        assert_eq!(idx.coverage_weight(3), 4.0);
+        assert_eq!(idx.covered(), 3.5);
+        assert_eq!(idx.coverage(0), 0.0);
+        assert_eq!(idx.coverage(2), 0.0);
+        assert_eq!(idx.coverage(3), 4.0);
     }
 
     #[test]
@@ -1525,10 +1324,9 @@ mod tests {
         let idx = build_weighted(5, &[&[0, 1], &[0, 2], &[0, 3], &[4]], &[0.1, 0.1, 0.1, 5.0]);
         let ext = idx.greedy_extension(1, 1, |_| false);
         assert_eq!(ext.picks, vec![4]);
-        assert_eq!(ext.covered_weight, 5.0);
+        assert_eq!(ext.covered, 5.0);
         // Residual after taking node 4: node 0's three 0.1-sets.
-        assert!((ext.residual_top_weight - 0.3).abs() < 1e-6);
-        assert_eq!(ext.covered, 1);
+        assert!((ext.residual_top - 0.3).abs() < 1e-6);
     }
 
     #[test]
@@ -1540,9 +1338,9 @@ mod tests {
         let batch: RrArena = [&[0u32, 1][..], &[2][..]].into_iter().collect();
         let covered = idx.add_range_weighted(&batch, 0, 2, &seeds, &[3.0, 0.5]);
         assert_eq!(covered, 1);
-        assert_eq!(idx.covered_weight(), 5.0);
-        assert_eq!(idx.coverage_weight(1), 0.0);
-        assert_eq!(idx.coverage_weight(2), 0.5);
+        assert_eq!(idx.covered(), 5.0);
+        assert_eq!(idx.coverage(1), 0.0);
+        assert_eq!(idx.coverage(2), 0.5);
     }
 
     #[test]
@@ -1579,17 +1377,17 @@ mod tests {
         let w: Vec<f32> = (0..400).map(|i| 1.0 + (i % 3) as f32).collect();
         idx.add_range_weighted(&big, 0, 400, &[false; 50], &w);
         let hub_weight: f64 = w.iter().map(|&x| f64::from(x)).sum();
-        assert!((idx.coverage_weight(0) - hub_weight).abs() < 1e-9);
+        assert!((idx.coverage(0) - hub_weight).abs() < 1e-9);
         assert_eq!(idx.cover_with(0), 400);
-        assert!((idx.covered_weight() - hub_weight).abs() < 1e-9);
+        assert!((idx.covered() - hub_weight).abs() < 1e-9);
         idx.compact();
         assert_exact_accounting(&idx);
-        assert_eq!(idx.coverage_weight(0), 0.0);
-        assert!((idx.covered_weight() - hub_weight).abs() < 1e-9);
+        assert_eq!(idx.coverage(0), 0.0);
+        assert!((idx.covered() - hub_weight).abs() < 1e-9);
         // Post-compaction growth keeps working on the weighted side.
         let more: RrArena = (0..4u32).map(|i| vec![1 + i]).collect();
         idx.add_range_weighted(&more, 0, 4, &[false; 50], &[0.25; 4]);
-        assert_eq!(idx.coverage_weight(1), 0.25);
+        assert_eq!(idx.coverage(1), 0.25);
     }
 
     #[test]
@@ -1600,15 +1398,15 @@ mod tests {
             .collect();
         let mut idx = RrCoverage::new(5);
         idx.add_batch(&sets, &[false; 5]);
-        let eager = idx.greedy_max_coverage(3);
+        let eager = idx.greedy_extension(3, 0, |_| false).picks;
 
-        let mut heap = LazyGreedyHeap::build((0..5u32).map(|v| (v, idx.coverage(v) as f64)));
+        let mut heap = LazyGreedyHeap::build((0..5u32).map(|v| (v, idx.coverage(v))));
         let mut lazy = Vec::new();
         let mut assigned = [false; 5];
         for _ in 0..3 {
             let idx_ref = &idx;
             let pick = heap
-                .pop_valid(|v| idx_ref.coverage(v) as f64, |v| assigned[v as usize])
+                .pop_valid(|v| idx_ref.coverage(v), |v| assigned[v as usize])
                 .map(|(v, _)| v);
             if let Some(v) = pick {
                 assigned[v as usize] = true;
@@ -1624,7 +1422,7 @@ mod tests {
         for &v in &eager {
             eager_total += idx2.cover_with(v);
         }
-        assert_eq!(idx.covered_total() as u32, eager_total);
+        assert_eq!(idx.covered(), f64::from(eager_total));
         assert_eq!(lazy.len(), eager.len());
     }
 

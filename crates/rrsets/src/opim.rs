@@ -21,7 +21,7 @@
 //! * a martingale **upper** bound on the best possible size-`s` coverage of
 //!   the *selection* stream ([`rm_submod::bounds::martingale_coverage_upper`]
 //!   applied to a submodularity top-`k` bound,
-//!   [`crate::RrCoverage::top_k_sum`]),
+//!   [`crate::RrCoverage::top_k`]),
 //!
 //! and stops doubling the sample as soon as
 //! `lower / upper ≥ 1 − 1/e − ε`. Sample sizes double from

@@ -344,12 +344,39 @@ impl SharedRrPool {
         Some(est)
     }
 
+    /// Caps the worker threads group growth and pooled KPT pilots may
+    /// spawn. Callers that read the pool from inside their own fan-out (the
+    /// engine's per-ad initialization) set this to their per-worker share
+    /// for the fan-out's span, so the two layers cannot multiply into more
+    /// live workers than cores.
+    pub fn set_thread_cap(&mut self, cap: usize) {
+        for group in &mut self.groups {
+            group.sampler.set_thread_cap(cap);
+        }
+    }
+
+    /// Grows the tenant's group arena to at least `hi` sets, under the
+    /// write lock; growth continues the group's one logical stream
+    /// regardless of batch boundaries. Returns `false` for private tenants.
+    pub fn ensure_sets(&self, g: &CsrGraph, ad: usize, hi: usize) -> bool {
+        let Some((gid, _)) = self.assignment.get(ad).copied().flatten() else {
+            return false;
+        };
+        let group = &self.groups[gid];
+        if read_group(group).arena.len() < hi {
+            let mut st = write_group(group);
+            if st.arena.len() < hi {
+                grow(g, group, &mut st, hi);
+            }
+        }
+        true
+    }
+
     /// Runs `f` over the tenant's view of the shared sets `lo..hi`: the
-    /// group arena (grown on demand under the write lock; growth continues
-    /// the group's one logical stream regardless of batch boundaries) and,
-    /// for reweighted tenants, the per-set weights of the tenant's mixture
-    /// for the range (`None` = unit weight). `f` runs under a shared read
-    /// lock, so tenants of one group run it concurrently. Returns `None` for
+    /// group arena (grown on demand, [`Self::ensure_sets`]) and, for
+    /// reweighted tenants, the per-set weights of the tenant's mixture for
+    /// the range (`None` = unit weight). `f` runs under a shared read lock,
+    /// so tenants of one group run it concurrently. Returns `None` for
     /// private tenants — the caller must use its own streams.
     pub fn with_range<R>(
         &self,
@@ -361,12 +388,7 @@ impl SharedRrPool {
     ) -> Option<R> {
         let (gid, pos) = self.assignment.get(ad).copied().flatten()?;
         let group = &self.groups[gid];
-        if read_group(group).arena.len() < hi {
-            let mut st = write_group(group);
-            if st.arena.len() < hi {
-                grow(g, group, &mut st, hi);
-            }
-        }
+        self.ensure_sets(g, ad, hi);
         // Arenas shrink only under `&mut self`, so the range is still
         // resident when the read lock is taken.
         let st = read_group(group);
@@ -856,6 +878,23 @@ mod tests {
         assert_eq!(arena_inc, arena_one);
         assert_eq!(w_inc, w_one);
         assert_eq!(pool_a.sets_sampled(), 300);
+    }
+
+    #[test]
+    fn ensure_sets_grows_the_stream_with_range_reads() {
+        // Growth ahead of the reads (under a one-worker cap, as inside the
+        // engine's per-ad fan-out) must leave exactly the arena and weights
+        // that on-demand growth inside `with_range` does.
+        let g = star_chain();
+        let models = repeated_mixture_models(&star_chain_tic(&g));
+        let mut ahead = SharedRrPool::build(&g, &models, 41, usize::MAX);
+        ahead.set_thread_cap(1);
+        assert!(ahead.ensure_sets(&g, 0, 3_000));
+        assert!(ahead.ensure_sets(&g, 2, 1_000), "never shrinks");
+        assert_eq!(ahead.sets_sampled(), 3_000);
+        assert!(!ahead.ensure_sets(&g, models.len(), 10), "not a tenant");
+        let on_demand = SharedRrPool::build(&g, &models, 41, usize::MAX);
+        assert_eq!(snapshot(&ahead, &g, 3_000), snapshot(&on_demand, &g, 3_000));
     }
 
     #[test]

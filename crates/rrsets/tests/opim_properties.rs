@@ -5,7 +5,7 @@
 //!   coverage vectors (real `RrCoverage` indexes built from random sets);
 //! * the bounds tighten monotonically as the sample doubles;
 //! * the stopping rule never fires before the minimum pilot size;
-//! * the submodularity oracles (`top_k_sum`, `greedy_extension`) really are
+//! * the submodularity oracles (`top_k`, `greedy_extension`) really are
 //!   upper bounds on what any extension can add.
 
 use proptest::prelude::*;
@@ -40,8 +40,8 @@ proptest! {
         let idx = index_of(12, &sets);
         let rule = StoppingRule::new(12, 0.3, 1.0);
         let ext = idx.greedy_extension(k, k, |_| false);
-        let gain = ext.covered as f64;
-        let ub = idx.top_k_sum(k, |_| false) as f64;
+        let gain = ext.covered;
+        let ub = idx.top_k(k, |_| false);
         let bc = rule.check(opim::MIN_PILOT, 1, gain, gain, ub);
         prop_assert!(bc.gain_lower <= gain + 1e-9);
         prop_assert!(bc.achieved_lower <= gain + 1e-9);
@@ -53,18 +53,18 @@ proptest! {
     /// exceeds the top-k marginal sum, and covering everything reachable
     /// leaves zero residual.
     #[test]
-    fn top_k_sum_bounds_greedy_gain(sets in random_sets(10), k in 1usize..6) {
+    fn top_k_bounds_greedy_gain(sets in random_sets(10), k in 1usize..6) {
         let idx = index_of(10, &sets);
         let ext = idx.greedy_extension(k, k, |_| false);
-        let gain = ext.covered - idx.covered_total();
+        let gain = ext.covered - idx.covered();
         prop_assert!(
-            gain as u64 <= idx.top_k_sum(k, |_| false),
+            gain <= idx.top_k(k, |_| false),
             "greedy gain {gain} above the top-{k} bound"
         );
         // Exhaustive extension covers every set; its residual is zero.
         let all = idx.greedy_extension(10, 10, |_| false);
-        prop_assert_eq!(all.covered, idx.num_sets());
-        prop_assert_eq!(all.residual_top, 0);
+        prop_assert_eq!(all.covered, idx.num_sets() as f64);
+        prop_assert_eq!(all.residual_top, 0.0);
     }
 
     /// The stopping rule never fires before the minimum pilot size, no

@@ -150,16 +150,6 @@ pub fn union_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Population count of `a ∧ b` over raw bitmap words (|A ∩ B|).
-#[inline]
-pub fn count_and(a: &[u64], b: &[u64]) -> usize {
-    debug_assert_eq!(a.len(), b.len(), "bitmap universes differ");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x & y).count_ones() as usize)
-        .sum()
-}
-
 /// Population count of `a ∧ ¬b` over raw bitmap words (|A \ B|).
 #[inline]
 pub fn count_and_not(a: &[u64], b: &[u64]) -> usize {
@@ -250,9 +240,7 @@ mod tests {
         let b: Vec<usize> = (0..universe).filter(|x| x % 5 == 0).collect();
         let sa = BitSet::from_iter(universe, a.iter().copied());
         let sb = BitSet::from_iter(universe, b.iter().copied());
-        let inter = a.iter().filter(|x| sb.contains(**x)).count();
         let diff = a.iter().filter(|x| !sb.contains(**x)).count();
-        assert_eq!(count_and(&sa.words, &sb.words), inter);
         assert_eq!(count_and_not(&sa.words, &sb.words), diff);
         let mut dst = sa.words.clone();
         union_into(&mut dst, &sb.words);
@@ -260,7 +248,6 @@ mod tests {
         assert_eq!(dst, both.words);
         // Empty operands are identities.
         let empty = BitSet::new(universe);
-        assert_eq!(count_and(&sa.words, &empty.words), 0);
         assert_eq!(count_and_not(&sa.words, &empty.words), sa.len());
         let mut dst = sa.words.clone();
         union_into(&mut dst, &empty.words);
