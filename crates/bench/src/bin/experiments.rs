@@ -15,7 +15,9 @@
 //! ```
 //!
 //! `fig2`/`fig3` share one sweep (same runs, different reported metric), as
-//! do `fig5`/`table3`.
+//! do `fig5`/`table3`. Every id resolves to canonical runs (`fig23`,
+//! `scalability`, …) and each canonical run executes once per invocation,
+//! so `fig2 fig3` or `quality fig4` runs each sweep once.
 
 use rm_bench::experiments::{self, Opts};
 
@@ -56,18 +58,21 @@ fn main() {
         std::process::exit(2);
     }
     // Resolve every id before running any, so a typo late in the list
-    // fails at once instead of after the experiments before it.
-    let runs: Vec<(String, fn(Opts))> = ids
-        .into_iter()
-        .map(|id| match lookup(&id) {
-            Some(run) => (id, run),
-            None => {
-                eprintln!("unknown experiment id: {id}");
-                usage();
-                std::process::exit(2);
+    // fails at once instead of after the experiments before it. Aliases and
+    // groups resolve to canonical runs, and each runs once.
+    let mut runs: Vec<&Run> = Vec::new();
+    for id in &ids {
+        let Some(resolved) = lookup(id) else {
+            eprintln!("unknown experiment id: {id}");
+            usage();
+            std::process::exit(2);
+        };
+        for r in resolved {
+            if !runs.iter().any(|q| q.name == r.name) {
+                runs.push(r);
             }
-        })
-        .collect();
+        }
+    }
     let threads = |t: usize| {
         if t == usize::MAX {
             "hw".to_string()
@@ -75,7 +80,7 @@ fn main() {
             t.to_string()
         }
     };
-    let names: Vec<&str> = runs.iter().map(|(id, _)| id.as_str()).collect();
+    let names: Vec<&str> = runs.iter().map(|r| r.name).collect();
     println!(
         "# experiments: {names:?}  scale={} seed={} quick={} paper_eps={} selection_threads={} \
          sampler_threads={}",
@@ -86,64 +91,77 @@ fn main() {
         threads(opts.selection_threads),
         threads(opts.sampler_threads)
     );
-    for (id, run) in &runs {
+    for r in runs {
         let t0 = std::time::Instant::now();
-        run(opts);
-        println!("[{id}] finished in {:.1}s", t0.elapsed().as_secs_f64());
+        (r.run)(opts);
+        println!(
+            "[{}] finished in {:.1}s",
+            r.name,
+            t0.elapsed().as_secs_f64()
+        );
     }
 }
 
-/// The experiment an id names; `None` for an unknown id.
-fn lookup(id: &str) -> Option<fn(Opts)> {
-    let run: fn(Opts) = match id {
-        "table1" => experiments::table1,
-        "table2" => experiments::table2,
-        "fig1" => experiments::fig1,
-        "fig2" | "fig3" | "fig23" => experiments::fig2_fig3,
-        "fig4" => experiments::fig4,
-        "lt-quality" => experiments::lt_quality,
-        "tic-quality" => experiments::tic_quality,
-        "fig5" | "table3" => experiments::fig5_table3,
-        "ablation-lazy" => experiments::ablation_lazy,
-        "ablation-term" => experiments::ablation_termination,
-        "ablation-singleton" => experiments::ablation_singleton,
-        "ablation-opim" => experiments::ablation_opim,
-        "pool-ablation" => experiments::pool_ablation,
-        "quality" => |opts| {
-            experiments::fig2_fig3(opts);
-            experiments::fig4(opts);
-        },
-        "scalability" => experiments::fig5_table3,
-        // Not folded into `all`: the full tier is a multi-GB, half-hour-class
-        // run; invoke it explicitly (CI smokes it with --quick).
-        "scale" => rm_bench::scale::scale_tier,
-        // Likewise explicit-only: the resident-engine replay (recorded runs
-        // land in BENCH_serve.json) and the benchmark-trajectory merge.
-        "serve" => rm_bench::serve::serve,
-        "bench-merge" => |_| {
-            if let Err(e) = rm_bench::merge::bench_merge() {
-                eprintln!("[bench-merge] cannot write the trajectory blob: {e}");
-                std::process::exit(1);
-            }
-        },
-        "all" => |opts| {
-            experiments::table1(opts);
-            experiments::table2(opts);
-            experiments::fig1(opts);
-            experiments::fig2_fig3(opts);
-            experiments::fig4(opts);
-            experiments::lt_quality(opts);
-            experiments::tic_quality(opts);
-            experiments::fig5_table3(opts);
-            experiments::ablation_lazy(opts);
-            experiments::ablation_termination(opts);
-            experiments::ablation_singleton(opts);
-            experiments::ablation_opim(opts);
-            experiments::pool_ablation(opts);
-        },
-        _ => return None,
+/// One canonical run: a sweep that writes its artifacts once.
+struct Run {
+    name: &'static str,
+    run: fn(Opts),
+    /// Part of `all`.
+    in_all: bool,
+}
+
+const fn run(name: &'static str, run: fn(Opts), in_all: bool) -> Run {
+    Run { name, run, in_all }
+}
+
+/// Every canonical run, in the order `all` runs them.
+const RUNS: &[Run] = &[
+    run("table1", experiments::table1, true),
+    run("table2", experiments::table2, true),
+    run("fig1", experiments::fig1, true),
+    // Figures 2 and 3 report two metrics of one sweep.
+    run("fig23", experiments::fig2_fig3, true),
+    run("fig4", experiments::fig4, true),
+    run("lt-quality", experiments::lt_quality, true),
+    run("tic-quality", experiments::tic_quality, true),
+    // Figure 5 and Table 3 report time and memory of one sweep.
+    run("scalability", experiments::fig5_table3, true),
+    run("ablation-lazy", experiments::ablation_lazy, true),
+    run("ablation-term", experiments::ablation_termination, true),
+    run("ablation-singleton", experiments::ablation_singleton, true),
+    run("ablation-opim", experiments::ablation_opim, true),
+    run("pool-ablation", experiments::pool_ablation, true),
+    // Not folded into `all`: the full tier is a multi-GB, half-hour-class
+    // run; invoke it explicitly (CI smokes it with --quick).
+    run("scale", rm_bench::scale::scale_tier, false),
+    // Likewise explicit-only: the resident-engine replay (recorded runs
+    // land in BENCH_serve.json) and the benchmark-trajectory merge.
+    run("serve", rm_bench::serve::serve, false),
+    run("bench-merge", bench_merge, false),
+];
+
+/// The canonical runs an id names; `None` for an unknown id.
+fn lookup(id: &str) -> Option<Vec<&'static Run>> {
+    let names: &[&str] = match id {
+        "all" => return Some(RUNS.iter().filter(|r| r.in_all).collect()),
+        "fig2" | "fig3" => &["fig23"],
+        "fig5" | "table3" => &["scalability"],
+        "quality" => &["fig23", "fig4"],
+        _ => return RUNS.iter().find(|r| r.name == id).map(|r| vec![r]),
     };
-    Some(run)
+    Some(
+        names
+            .iter()
+            .filter_map(|&name| RUNS.iter().find(|r| r.name == name))
+            .collect(),
+    )
+}
+
+fn bench_merge(_: Opts) {
+    if let Err(e) = rm_bench::merge::bench_merge() {
+        eprintln!("[bench-merge] cannot write the trajectory blob: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// Parses the value following `flag` with `parse`; a missing or malformed

@@ -2,7 +2,8 @@
 //!
 //! Every function prints the same rows/series the paper reports and writes a
 //! CSV under `target/experiments/`. See `DESIGN.md` for the per-experiment
-//! index and `EXPERIMENTS.md` for paper-vs-measured records.
+//! index; paper-vs-measured records are not kept yet (`DESIGN.md` →
+//! "Records").
 
 use rm_core::{
     evaluate_allocation, AlgorithmKind, EvalMethod, RmInstance, SamplingStrategy, ScalableConfig,

@@ -359,7 +359,8 @@ pub fn scalability_instance(
 
 /// Engine configuration for quality experiments. The paper uses ε = 0.1;
 /// the harness defaults to ε = 0.3 to keep the 160-run grid laptop-sized
-/// (`paper_eps` restores 0.1 — see EXPERIMENTS.md for the deviation note).
+/// (`paper_eps` restores 0.1 — see DESIGN.md → "Substitutions",
+/// "Quality-experiment ε").
 pub fn quality_config(seed: u64, paper_eps: bool) -> ScalableConfig {
     ScalableConfig {
         epsilon: if paper_eps { 0.1 } else { 0.3 },

@@ -143,3 +143,33 @@ fn bench_merge_write_failure_exits_1_with_a_message() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn aliases_of_one_sweep_run_it_once() {
+    // `fig5`, `table3` and `scalability` name one sweep; it runs once and
+    // writes its CSVs once.
+    let out = experiments()
+        .args([
+            "fig5",
+            "table3",
+            "scalability",
+            "--quick",
+            "--scale",
+            "0.0005",
+        ])
+        .output()
+        .expect("run experiments binary");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let finished: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("] finished in"))
+        .collect();
+    assert_eq!(finished.len(), 1, "one sweep, one run:\n{stdout}");
+    assert!(finished[0].starts_with("[scalability]"), "{stdout}");
+    assert_eq!(
+        stdout.matches("table3_memory_vs_h.csv").count(),
+        1,
+        "{stdout}"
+    );
+}

@@ -194,15 +194,6 @@ impl std::fmt::Display for ScalableConfigError {
 impl std::error::Error for ScalableConfigError {}
 
 impl ScalableConfig {
-    /// The paper's scalability-experiment setting (ε = 0.3, w = 5000).
-    pub fn scalability() -> Self {
-        ScalableConfig {
-            epsilon: 0.3,
-            window: Window::Size(5000),
-            ..Default::default()
-        }
-    }
-
     /// Rejects configurations the engine cannot honor. Run by
     /// [`super::TiEngine::try_new`] and [`super::ResidentEngine::new`], so
     /// a bad config fails loudly at construction.
@@ -254,15 +245,18 @@ mod tests {
         // PR 7 goldens) stay bit-identical.
         assert!(!c.rr_sharing);
         assert_eq!(SamplingStrategy::OnlineBounds.name(), "online-bounds");
-        let s = ScalableConfig::scalability();
-        assert_eq!(s.epsilon, 0.3);
-        assert_eq!(s.window, Window::Size(5000));
     }
 
     #[test]
     fn validate_accepts_defaults_and_scalability() {
         assert_eq!(ScalableConfig::default().validate(), Ok(()));
-        assert_eq!(ScalableConfig::scalability().validate(), Ok(()));
+        // The paper's scalability setting (ε = 0.3, w = 5000).
+        let scalability = ScalableConfig {
+            epsilon: 0.3,
+            window: Window::Size(5000),
+            ..Default::default()
+        };
+        assert_eq!(scalability.validate(), Ok(()));
     }
 
     #[test]

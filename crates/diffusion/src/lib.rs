@@ -36,12 +36,12 @@ pub mod tic;
 pub mod topic;
 pub mod world;
 
-pub use cascade::{simulate_cascade, simulate_tic_cascade, CascadeWorkspace};
+pub use cascade::{simulate_cascade, CascadeWorkspace};
 pub use lt::{
     estimate_lt_spread, lt_weights_feasible, normalize_lt_weights, sample_lt_rr_set,
     simulate_lt_cascade, LtWorkspace,
 };
-pub use model::{DiffusionKind, DiffusionModel, ModelWorkspace};
+pub use model::{DiffusionKind, DiffusionModel};
 pub use spread::{estimate_spread, singleton_spreads_mc, SpreadEstimate};
 pub use tic::{AdProbs, TicInSlots, TicModel, TopicalConfig};
 pub use topic::TopicDistribution;

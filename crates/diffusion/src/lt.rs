@@ -138,19 +138,6 @@ pub fn simulate_lt_cascade<R: Rng + ?Sized>(
     ws.queue.len()
 }
 
-/// Like [`simulate_lt_cascade`] but returns the activated node set (for
-/// engagement-trace inspection, mirroring `simulate_cascade_nodes`).
-pub fn simulate_lt_cascade_nodes<R: Rng + ?Sized>(
-    g: &CsrGraph,
-    weights: &AdProbs,
-    seeds: &[NodeId],
-    ws: &mut LtWorkspace,
-    rng: &mut R,
-) -> Vec<NodeId> {
-    simulate_lt_cascade(g, weights, seeds, ws, rng);
-    ws.queue.clone()
-}
-
 /// Estimates the LT expected spread with `runs` simulations.
 pub fn estimate_lt_spread(
     g: &CsrGraph,
@@ -317,17 +304,6 @@ mod tests {
             (forward - reverse).abs() < 0.05,
             "forward {forward} vs reverse {reverse}"
         );
-    }
-
-    #[test]
-    fn simulate_nodes_returns_active_set() {
-        let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let w = AdProbs::from_vec(vec![1.0; 3]);
-        let mut ws = LtWorkspace::new(4);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut nodes = simulate_lt_cascade_nodes(&g, &w, &[1], &mut ws, &mut rng);
-        nodes.sort_unstable();
-        assert_eq!(nodes, vec![1, 2, 3]);
     }
 
     #[test]

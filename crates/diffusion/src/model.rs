@@ -30,18 +30,9 @@
 
 use std::sync::Arc;
 
-use rand::Rng;
-
 use rm_graph::{CsrGraph, NodeId};
 
-use crate::cascade::{
-    simulate_cascade, simulate_cascade_nodes, simulate_tic_cascade, simulate_tic_cascade_nodes,
-    CascadeWorkspace,
-};
-use crate::lt::{
-    lt_weights_feasible, normalize_lt_weights, simulate_lt_cascade, simulate_lt_cascade_nodes,
-    singleton_spreads_lt_mc, LtWorkspace,
-};
+use crate::lt::{lt_weights_feasible, normalize_lt_weights, singleton_spreads_lt_mc};
 use crate::spread::{estimate_spread, singleton_spreads_mc};
 use crate::tic::{AdProbs, TicModel};
 use crate::topic::TopicDistribution;
@@ -150,13 +141,13 @@ impl DiffusionModel {
     /// # Panics
     /// Panics for TIC models, which deliberately never materialize a flat
     /// per-edge array — use [`Self::tic_parts`] (lazy mixing) or
-    /// [`Self::flatten_probs`] (explicit O(m) flattening) instead.
+    /// [`TicModel::ad_probs`] (explicit O(m) flattening) instead.
     pub fn params(&self) -> &AdProbs {
         match self {
             DiffusionModel::IndependentCascade(p) | DiffusionModel::LinearThreshold(p) => p,
             DiffusionModel::Tic { .. } => panic!(
                 "TIC models mix probabilities lazily and have no flat params; \
-                 use tic_parts() or flatten_probs()"
+                 use tic_parts() or TicModel::ad_probs()"
             ),
         }
     }
@@ -166,77 +157,6 @@ impl DiffusionModel {
         match self {
             DiffusionModel::Tic { tic, gamma } => Some((tic, gamma)),
             _ => None,
-        }
-    }
-
-    /// The per-edge parameters as an owned handle, flattening a TIC model's
-    /// mixture into a transient O(m) array (Eq. 1). IC/LT hand back their
-    /// shared storage without copying. Use only off the sampling path — the
-    /// point of the TIC variant is that samplers never need this array.
-    pub fn flatten_probs(&self) -> AdProbs {
-        match self {
-            DiffusionModel::IndependentCascade(p) | DiffusionModel::LinearThreshold(p) => p.clone(),
-            DiffusionModel::Tic { tic, gamma } => tic.ad_probs(gamma),
-        }
-    }
-
-    /// A forward-simulation workspace matching this model's family.
-    pub fn workspace(&self, n: usize) -> ModelWorkspace {
-        match self {
-            DiffusionModel::IndependentCascade(_) | DiffusionModel::Tic { .. } => {
-                ModelWorkspace::Ic(CascadeWorkspace::new(n))
-            }
-            DiffusionModel::LinearThreshold(_) => ModelWorkspace::Lt(LtWorkspace::new(n)),
-        }
-    }
-
-    /// Runs one forward cascade from `seeds`, returning the number of
-    /// activated nodes (seeds included).
-    ///
-    /// Infallible by contract: a workspace built for the other model family
-    /// is transparently re-initialized to the matching one (see
-    /// [`ModelWorkspace`]), so no input combination can panic. Callers that
-    /// alternate models over one workspace pay a reallocation per switch —
-    /// keep one workspace per model in hot loops.
-    pub fn simulate<R: Rng + ?Sized>(
-        &self,
-        g: &CsrGraph,
-        seeds: &[NodeId],
-        ws: &mut ModelWorkspace,
-        rng: &mut R,
-    ) -> usize {
-        match self {
-            DiffusionModel::IndependentCascade(p) => {
-                simulate_cascade(g, p, seeds, ws.ic_mut(g.num_nodes()), rng)
-            }
-            DiffusionModel::LinearThreshold(w) => {
-                simulate_lt_cascade(g, w, seeds, ws.lt_mut(g.num_nodes()), rng)
-            }
-            DiffusionModel::Tic { tic, gamma } => {
-                simulate_tic_cascade(g, tic, gamma, seeds, ws.ic_mut(g.num_nodes()), rng)
-            }
-        }
-    }
-
-    /// Like [`Self::simulate`] but returns the activated node set. Shares
-    /// [`Self::simulate`]'s infallible workspace contract.
-    pub fn simulate_nodes<R: Rng + ?Sized>(
-        &self,
-        g: &CsrGraph,
-        seeds: &[NodeId],
-        ws: &mut ModelWorkspace,
-        rng: &mut R,
-    ) -> Vec<NodeId> {
-        match self {
-            DiffusionModel::IndependentCascade(p) => {
-                simulate_cascade_nodes(g, p, seeds, ws.ic_mut(g.num_nodes()), rng)
-            }
-            DiffusionModel::LinearThreshold(w) => {
-                simulate_lt_cascade_nodes(g, w, seeds, ws.lt_mut(g.num_nodes()), rng)
-            }
-            DiffusionModel::Tic { tic, gamma } => {
-                simulate_tic_cascade_nodes(g, tic, gamma, seeds, ws.ic_mut(g.num_nodes()), rng)
-            }
         }
     }
 
@@ -272,51 +192,9 @@ impl DiffusionModel {
     }
 }
 
-/// Forward-simulation scratch matching one model family; obtain via
-/// [`DiffusionModel::workspace`].
-///
-/// Simulation entry points self-heal a family mismatch: handing an LT
-/// workspace to an IC simulation (or vice versa) re-initializes it in place
-/// instead of panicking, so [`DiffusionModel::simulate`] /
-/// [`DiffusionModel::simulate_nodes`] are infallible for every input. The
-/// swap reallocates the scratch, so it is a performance consideration, not
-/// a correctness one.
-#[derive(Clone, Debug)]
-pub enum ModelWorkspace {
-    /// Independent-Cascade scratch.
-    Ic(CascadeWorkspace),
-    /// Linear-Threshold scratch.
-    Lt(LtWorkspace),
-}
-
-impl ModelWorkspace {
-    /// The IC scratch, re-initializing in place on a family mismatch.
-    fn ic_mut(&mut self, n: usize) -> &mut CascadeWorkspace {
-        if !matches!(self, ModelWorkspace::Ic(_)) {
-            *self = ModelWorkspace::Ic(CascadeWorkspace::new(n));
-        }
-        let ModelWorkspace::Ic(ws) = self else {
-            unreachable!("just normalized to the IC variant")
-        };
-        ws
-    }
-
-    /// The LT scratch, re-initializing in place on a family mismatch.
-    fn lt_mut(&mut self, n: usize) -> &mut LtWorkspace {
-        if !matches!(self, ModelWorkspace::Lt(_)) {
-            *self = ModelWorkspace::Lt(LtWorkspace::new(n));
-        }
-        let ModelWorkspace::Lt(ws) = self else {
-            unreachable!("just normalized to the LT variant")
-        };
-        ws
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::SmallRng, SeedableRng};
     use rm_graph::builder::graph_from_edges;
 
     fn chain() -> CsrGraph {
@@ -355,12 +233,6 @@ mod tests {
             DiffusionModel::ic(full.clone()),
             DiffusionModel::lt(&g, full.clone()),
         ] {
-            let mut ws = model.workspace(4);
-            let mut rng = SmallRng::seed_from_u64(1);
-            assert_eq!(model.simulate(&g, &[0], &mut ws, &mut rng), 4);
-            let mut nodes = model.simulate_nodes(&g, &[2], &mut ws, &mut rng);
-            nodes.sort_unstable();
-            assert_eq!(nodes, vec![2, 3]);
             assert_eq!(model.estimate_spread(&g, &[1], 50, 2), 3.0);
             assert_eq!(
                 model.singleton_spreads_mc(&g, 20, 3),
@@ -393,21 +265,6 @@ mod tests {
             model.singleton_spreads_mc(&g, 50, 5),
             flat.singleton_spreads_mc(&g, 50, 5)
         );
-        let mut ws_a = model.workspace(4);
-        let mut ws_b = flat.workspace(4);
-        assert!(matches!(ws_a, ModelWorkspace::Ic(_)));
-        let mut rng_a = SmallRng::seed_from_u64(8);
-        let mut rng_b = SmallRng::seed_from_u64(8);
-        for _ in 0..100 {
-            assert_eq!(
-                model.simulate(&g, &[0], &mut ws_a, &mut rng_a),
-                flat.simulate(&g, &[0], &mut ws_b, &mut rng_b)
-            );
-        }
-        assert_eq!(
-            model.flatten_probs().as_slice(),
-            tic.ad_probs(&gamma).as_slice()
-        );
     }
 
     #[test]
@@ -425,31 +282,5 @@ mod tests {
         let g = chain();
         let tic = Arc::new(TicModel::uniform(&g, 0.5));
         let _ = DiffusionModel::tic(tic, TopicDistribution::uniform(3));
-    }
-
-    #[test]
-    fn mismatched_workspace_self_heals() {
-        // Regression: model-family mismatch used to panic mid-simulation.
-        // The contract is now infallible — a mismatched workspace is
-        // re-initialized in place and the simulation proceeds, returning
-        // exactly what a correctly built workspace returns.
-        let g = chain();
-        let ic = DiffusionModel::ic(AdProbs::from_vec(vec![1.0; 3]));
-        let lt = DiffusionModel::lt(&g, AdProbs::from_vec(vec![1.0; 3]));
-        let mut wrong = lt.workspace(4);
-        let mut right = ic.workspace(4);
-        let mut rng_a = SmallRng::seed_from_u64(4);
-        let mut rng_b = SmallRng::seed_from_u64(4);
-        assert_eq!(
-            ic.simulate(&g, &[0], &mut wrong, &mut rng_a),
-            ic.simulate(&g, &[0], &mut right, &mut rng_b),
-        );
-        // The workspace was swapped to the IC family in place…
-        assert!(matches!(wrong, ModelWorkspace::Ic(_)));
-        // …and the other direction heals too, node sets included.
-        let mut nodes = lt.simulate_nodes(&g, &[2], &mut wrong, &mut rng_a);
-        nodes.sort_unstable();
-        assert_eq!(nodes, vec![2, 3]);
-        assert!(matches!(wrong, ModelWorkspace::Lt(_)));
     }
 }

@@ -7,18 +7,9 @@
 //! plus an exponential-time exact spread oracle for tiny graphs used to
 //! validate every estimator in the workspace.
 
-use rand::Rng;
-
 use rm_graph::{CsrGraph, NodeId};
 
 use crate::tic::AdProbs;
-
-/// Samples a possible world: `live[eid]` is true iff the edge survived.
-pub fn sample_world<R: Rng + ?Sized>(g: &CsrGraph, probs: &AdProbs, rng: &mut R) -> Vec<bool> {
-    (0..g.num_edges() as u32)
-        .map(|e| rng.random::<f32>() < probs.get(e))
-        .collect()
-}
 
 /// Number of nodes forward-reachable from `seeds` through live edges.
 pub fn reachable_count(g: &CsrGraph, live: &[bool], seeds: &[NodeId]) -> usize {
@@ -85,7 +76,6 @@ pub fn exact_spread_enumeration(g: &CsrGraph, probs: &AdProbs, seeds: &[NodeId])
 mod tests {
     use super::*;
     use crate::spread::estimate_spread;
-    use rand::{rngs::SmallRng, SeedableRng};
     use rm_graph::builder::graph_from_edges;
 
     #[test]
@@ -128,20 +118,5 @@ mod tests {
         let all = vec![true; 3];
         assert_eq!(reachable_count(&g, &none, &[0]), 1);
         assert_eq!(reachable_count(&g, &all, &[0]), 4);
-    }
-
-    #[test]
-    fn sampled_world_liveness_rate() {
-        let g = graph_from_edges(2, &[(0, 1)]);
-        let probs = AdProbs::from_vec(vec![0.3]);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut live_count = 0;
-        for _ in 0..10_000 {
-            if sample_world(&g, &probs, &mut rng)[0] {
-                live_count += 1;
-            }
-        }
-        let rate = live_count as f64 / 10_000.0;
-        assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
     }
 }

@@ -1,8 +1,7 @@
-//! Connected components: weakly connected (union–find) and strongly
-//! connected (iterative Tarjan). Used by dataset diagnostics (cascades and
-//! RR sets cannot escape a weak component) and by tests.
+//! Weakly connected components (union–find). Used by dataset diagnostics:
+//! cascades and RR sets cannot escape a weak component.
 
-use crate::csr::{CsrGraph, NodeId};
+use crate::csr::CsrGraph;
 
 /// Weakly connected component id per node (ids are arbitrary but dense from
 /// 0), computed with path-halving union–find.
@@ -39,71 +38,6 @@ pub fn weakly_connected_components(g: &CsrGraph) -> Vec<u32> {
     out
 }
 
-/// Strongly connected component id per node (reverse-topological ids),
-/// iterative Tarjan — no recursion, safe on deep graphs.
-pub fn strongly_connected_components(g: &CsrGraph) -> Vec<u32> {
-    let n = g.num_nodes();
-    const UNSET: u32 = u32::MAX;
-    let mut index = vec![UNSET; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut comp = vec![UNSET; n];
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut next_index = 0u32;
-    let mut next_comp = 0u32;
-
-    // Explicit DFS state: (node, next out-neighbor position).
-    let mut call: Vec<(NodeId, usize)> = Vec::new();
-    for root in 0..n as NodeId {
-        if index[root as usize] != UNSET {
-            continue;
-        }
-        call.push((root, 0));
-        while let Some(&mut (v, ref mut pos)) = call.last_mut() {
-            if *pos == 0 {
-                index[v as usize] = next_index;
-                lowlink[v as usize] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v as usize] = true;
-            }
-            let neigh = g.out_neighbors(v);
-            let mut advanced = false;
-            while *pos < neigh.len() {
-                let w = neigh[*pos];
-                *pos += 1;
-                if index[w as usize] == UNSET {
-                    call.push((w, 0));
-                    advanced = true;
-                    break;
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
-                }
-            }
-            if advanced {
-                continue;
-            }
-            // Done with v: close the frame.
-            call.pop();
-            if let Some(&(parent, _)) = call.last() {
-                lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
-            }
-            if lowlink[v as usize] == index[v as usize] {
-                loop {
-                    let w = stack.pop().expect("tarjan stack underflow");
-                    on_stack[w as usize] = false;
-                    comp[w as usize] = next_comp;
-                    if w == v {
-                        break;
-                    }
-                }
-                next_comp += 1;
-            }
-        }
-    }
-    comp
-}
-
 /// Size of the largest component given a component-id labelling.
 pub fn largest_component_size(labels: &[u32]) -> usize {
     if labels.is_empty() {
@@ -131,44 +65,5 @@ mod tests {
         assert_eq!(wcc[1], wcc[2]);
         assert_ne!(wcc[0], wcc[3]);
         assert_eq!(largest_component_size(&wcc), 3);
-    }
-
-    #[test]
-    fn scc_detects_cycles() {
-        // Cycle 0->1->2->0 plus a tail 2->3.
-        let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let scc = strongly_connected_components(&g);
-        assert_eq!(scc[0], scc[1]);
-        assert_eq!(scc[1], scc[2]);
-        assert_ne!(scc[2], scc[3]);
-    }
-
-    #[test]
-    fn dag_is_all_singleton_sccs() {
-        let g = graph_from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
-        let scc = strongly_connected_components(&g);
-        let mut uniq: Vec<u32> = scc.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 5);
-    }
-
-    #[test]
-    fn scc_survives_deep_chains() {
-        // 50k-node chain would blow a recursive Tarjan's stack.
-        let edges: Vec<(u32, u32)> = (0..49_999).map(|i| (i, i + 1)).collect();
-        let g = graph_from_edges(50_000, &edges);
-        let scc = strongly_connected_components(&g);
-        assert_eq!(largest_component_size(&scc), 1);
-    }
-
-    #[test]
-    fn two_cycles_bridge() {
-        // 0<->1, 2<->3, bridge 1->2: two SCCs of size 2.
-        let g = graph_from_edges(4, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]);
-        let scc = strongly_connected_components(&g);
-        assert_eq!(scc[0], scc[1]);
-        assert_eq!(scc[2], scc[3]);
-        assert_ne!(scc[0], scc[2]);
     }
 }

@@ -286,15 +286,6 @@ impl CsrGraph {
             + self.in_sources.len()
             + self.in_eids.len())
     }
-
-    /// Returns the transpose (every edge reversed). Edge ids are **not**
-    /// preserved; use only where per-edge attributes are symmetric.
-    pub fn transpose(&self) -> CsrGraph {
-        let mut edges: Vec<(NodeId, NodeId)> = self.edges().map(|(_, u, v)| (v, u)).collect();
-        edges.sort_unstable();
-        edges.dedup();
-        CsrGraph::from_sorted_edges(self.n, &edges)
-    }
 }
 
 #[cfg(test)]
@@ -339,15 +330,6 @@ mod tests {
         let g = diamond();
         let ids: Vec<_> = g.edges().map(|(e, _, _)| e).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn transpose_reverses() {
-        let g = diamond();
-        let t = g.transpose();
-        assert_eq!(t.out_neighbors(3), &[1, 2]);
-        assert_eq!(t.in_neighbors(1), &[3]);
-        assert_eq!(t.num_edges(), 4);
     }
 
     #[test]

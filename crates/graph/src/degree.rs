@@ -1,5 +1,4 @@
-//! Degree statistics (used by the dataset-statistics table and the
-//! out-degree incentive proxy).
+//! Degree statistics (used by the dataset-statistics table).
 
 use crate::csr::{CsrGraph, NodeId};
 
@@ -50,23 +49,6 @@ pub fn out_degree_stats(g: &CsrGraph) -> DegreeStats {
     )
 }
 
-/// In-degree statistics.
-pub fn in_degree_stats(g: &CsrGraph) -> DegreeStats {
-    stats(
-        (0..g.num_nodes() as NodeId)
-            .map(|u| g.in_degree(u))
-            .collect(),
-    )
-}
-
-/// Out-degree of every node as `f64` (the paper's incentive proxy on large
-/// graphs: "we use the out-degree of the nodes as a proxy to σ_i({u})").
-pub fn out_degrees_f64(g: &CsrGraph) -> Vec<f64> {
-    (0..g.num_nodes() as NodeId)
-        .map(|u| g.out_degree(u) as f64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,19 +62,5 @@ mod tests {
         assert_eq!(s.max, 3);
         assert!((s.mean - 1.0).abs() < 1e-12);
         assert!((s.median - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn in_out_totals_agree() {
-        let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]);
-        let so = out_degree_stats(&g);
-        let si = in_degree_stats(&g);
-        assert!((so.mean - si.mean).abs() < 1e-12);
-    }
-
-    #[test]
-    fn proxy_vector_matches_degrees() {
-        let g = graph_from_edges(3, &[(0, 1), (0, 2)]);
-        assert_eq!(out_degrees_f64(&g), vec![2.0, 0.0, 0.0]);
     }
 }

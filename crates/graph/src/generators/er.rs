@@ -1,39 +1,10 @@
-//! Erdős–Rényi random graphs: G(n, p) via geometric edge skipping and
-//! G(n, m) via rejection sampling of distinct edges.
+//! Erdős–Rényi random graphs: G(n, m) via rejection sampling of distinct
+//! edges.
 
 use rand::Rng;
 
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, NodeId};
-
-/// G(n, p): every ordered pair `(u, v)`, `u != v`, is an edge independently
-/// with probability `p`. Uses the standard skip-length trick so runtime is
-/// O(n + m) rather than O(n^2).
-pub fn erdos_renyi_gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> CsrGraph {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0,1]");
-    let mut b = GraphBuilder::new(n);
-    if p > 0.0 && n > 1 {
-        let total = (n as u64) * (n as u64 - 1); // ordered pairs without loops
-        let log_q = (1.0 - p).ln();
-        let mut idx: i64 = -1;
-        loop {
-            // Geometric skip: number of non-edges before the next edge.
-            let r: f64 = rng.random();
-            let skip = if p >= 1.0 {
-                0
-            } else {
-                ((1.0 - r).ln() / log_q).floor() as i64
-            };
-            idx += skip + 1;
-            if idx as u64 >= total {
-                break;
-            }
-            let (u, v) = unrank_pair(idx as u64, n as u64);
-            b.add_edge(u, v);
-        }
-    }
-    b.build()
-}
 
 /// G(n, m): exactly up to `m` distinct directed edges sampled uniformly
 /// (duplicates are rejected, so for extremely dense requests fewer edges can
@@ -69,41 +40,10 @@ pub fn erdos_renyi_m<R: Rng + ?Sized>(n: usize, m: usize, directed: bool, rng: &
     b.build()
 }
 
-/// Maps a linear index over ordered non-loop pairs to the pair itself.
-fn unrank_pair(idx: u64, n: u64) -> (NodeId, NodeId) {
-    let u = idx / (n - 1);
-    let mut v = idx % (n - 1);
-    if v >= u {
-        v += 1; // skip the diagonal
-    }
-    (u as NodeId, v as NodeId)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::SmallRng, SeedableRng};
-
-    #[test]
-    fn gnp_edge_count_near_expectation() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let n = 500;
-        let p = 0.02;
-        let g = erdos_renyi_gnp(n, p, &mut rng);
-        let expected = (n * (n - 1)) as f64 * p;
-        let got = g.num_edges() as f64;
-        assert!(
-            (got - expected).abs() < 4.0 * expected.sqrt() + 10.0,
-            "expected ~{expected}, got {got}"
-        );
-    }
-
-    #[test]
-    fn gnp_extremes() {
-        let mut rng = SmallRng::seed_from_u64(12);
-        assert_eq!(erdos_renyi_gnp(50, 0.0, &mut rng).num_edges(), 0);
-        assert_eq!(erdos_renyi_gnp(20, 1.0, &mut rng).num_edges(), 20 * 19);
-    }
 
     #[test]
     fn gnm_exact_count() {
@@ -120,17 +60,5 @@ mod tests {
         for (_, u, v) in g.edges() {
             assert!(g.out_neighbors(v).contains(&u));
         }
-    }
-
-    #[test]
-    fn unrank_covers_all_pairs() {
-        let n = 5u64;
-        let mut seen = std::collections::HashSet::new();
-        for idx in 0..n * (n - 1) {
-            let (u, v) = unrank_pair(idx, n);
-            assert_ne!(u, v);
-            assert!(seen.insert((u, v)));
-        }
-        assert_eq!(seen.len(), 20);
     }
 }

@@ -27,16 +27,6 @@ pub struct CompactedEdgeList {
     pub original_ids: Vec<u64>,
 }
 
-impl CompactedEdgeList {
-    /// Looks up the compact id of an original file id, if present.
-    pub fn compact_id(&self, original: u64) -> Option<NodeId> {
-        self.original_ids
-            .binary_search(&original)
-            .ok()
-            .map(|i| i as NodeId)
-    }
-}
-
 /// Reads an edge list from a reader. Node ids are compacted via a dense
 /// remap (see [`CompactedEdgeList`]); use [`read_edge_list_compacted`] to
 /// keep the compact → original mapping. Self-loops are dropped and
@@ -309,9 +299,14 @@ mod tests {
         let out = read_edge_list_compacted(io::BufReader::new(&buf[..])).unwrap();
         assert_eq!(out.graph.num_nodes(), 2);
         assert_eq!(out.original_ids, vec![0, 2]);
-        assert_eq!(out.compact_id(2), Some(1));
         let edges: Vec<_> = out.graph.edges().map(|(_, u, v)| (u, v)).collect();
         assert_eq!(edges, vec![(0, 1)]);
+        // The compact edge maps back to the original 0 → 2.
+        let (u, v) = edges[0];
+        assert_eq!(
+            (out.original_ids[u as usize], out.original_ids[v as usize]),
+            (0, 2)
+        );
     }
 
     #[test]
@@ -325,9 +320,11 @@ mod tests {
         assert_eq!(out.graph.num_edges(), 1);
         assert_eq!(out.graph.out_neighbors(0), &[1]);
         assert_eq!(out.original_ids, vec![5, 1000000]);
-        assert_eq!(out.compact_id(5), Some(0));
-        assert_eq!(out.compact_id(1000000), Some(1));
-        assert_eq!(out.compact_id(6), None);
+        assert_eq!(out.original_ids[0], 5);
+        assert_eq!(
+            out.original_ids[out.graph.out_neighbors(0)[0] as usize],
+            1000000
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * reverse-reachable (RR) set sampling walks `in_edges(v)`.
 //!
 //! The crate also provides the random-graph generators used to synthesize the
-//! paper's four evaluation datasets (Erdős–Rényi, Barabási–Albert, Chung–Lu
-//! power-law, Watts–Strogatz, forest-fire), weighted PageRank (substrate for
+//! paper's four evaluation datasets (Chung–Lu power-law, Barabási–Albert)
+//! plus an Erdős–Rényi control, weighted PageRank (substrate for
 //! the paper's `PageRank-GR` / `PageRank-RR` baselines), degree statistics,
 //! and a plain-text edge-list reader/writer. Two modules serve every crate
 //! above it: [`seed`] derives RNG streams and [`par`] runs every parallel

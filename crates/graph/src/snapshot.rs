@@ -335,19 +335,6 @@ pub fn convert_edge_list<R: io::BufRead, W: Write>(
     Ok(stats)
 }
 
-/// File-path variant of [`convert_edge_list`].
-pub fn convert_edge_list_file(
-    src: impl AsRef<Path>,
-    dst: impl AsRef<Path>,
-) -> io::Result<ConvertStats> {
-    let f = std::fs::File::open(src)?;
-    let out = std::fs::File::create(dst)?;
-    convert_edge_list(
-        io::BufReader::with_capacity(CHUNK_BYTES, f),
-        io::BufWriter::new(out),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,8 +6,11 @@
 //! derived only by chained mixing, no hash-order iteration in
 //! result-affecting code, panic-free hot paths, no wall-clock influence on
 //! artifacts, scheduler-independent float reductions, zero `unsafe`, one
-//! fan-out primitive. This crate enforces them with a self-contained line
-//! scanner (hand-rolled lexer, no registry deps) suitable for CI:
+//! fan-out primitive — and on a small codebase: no `pub` item that nothing
+//! reaches. This crate enforces them with a self-contained line scanner
+//! (hand-rolled lexer, no registry deps) suitable for CI. Seven lints judge
+//! one file at a time; `unreached-pub` indexes the identifiers of the whole
+//! workspace, test code included, and judges every `pub` item against it:
 //!
 //! ```text
 //! cargo run -p rm-lint            # human output, exit 1 on findings
@@ -29,7 +32,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use context::FileContext;
-pub use lints::{LintDef, REGISTRY};
+pub use lints::{Check, LintDef, REGISTRY};
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,16 +98,14 @@ impl Report {
     }
 }
 
-/// Runs every registered lint over one in-memory file. `path` is the
+/// Runs every per-file lint over one in-memory file. `path` is the
 /// workspace-relative path the content should be judged *as* (the lints are
 /// path-sensitive), which is how the fixture corpus exercises hot-path and
 /// crate-scoped rules.
 pub fn analyze_source(path: &str, source: &str) -> Vec<Finding> {
     let cx = FileContext::new(path, source);
     let mut out = Vec::new();
-    for def in REGISTRY {
-        (def.check)(&cx, &mut out);
-    }
+    run_file_lints(&cx, &mut out);
     sort_findings(&mut out);
     out
 }
@@ -120,7 +121,8 @@ fn skip_dir(name: &str) -> bool {
     )
 }
 
-/// Walks the workspace and runs every lint plus the crate-root
+/// Walks the workspace and runs every per-file lint, every workspace lint
+/// (which walk the tree themselves), plus the crate-root
 /// `#![forbid(unsafe_code)]` audit.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
@@ -132,19 +134,29 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
     for rel in &files {
         let source = std::fs::read_to_string(root.join(rel))?;
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        let cx = FileContext::new(&rel_str, &source);
-        for def in REGISTRY {
-            (def.check)(&cx, &mut findings);
-        }
+        run_file_lints(&FileContext::new(&rel_str, &source), &mut findings);
         scanned += 1;
     }
     crate_root_forbids_unsafe(root, &mut findings)?;
+    for def in REGISTRY {
+        if let Check::Workspace(check) = def.check {
+            check(root, &mut findings)?;
+        }
+    }
     sort_findings(&mut findings);
     Ok(Report {
         root: root.to_string_lossy().into_owned(),
         files_scanned: scanned,
         findings,
     })
+}
+
+fn run_file_lints(cx: &FileContext, out: &mut Vec<Finding>) {
+    for def in REGISTRY {
+        if let Check::File(check) = def.check {
+            check(cx, out);
+        }
+    }
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -330,7 +342,8 @@ mod tests {
                 "wallclock-in-results",
                 "float-reduce",
                 "unsafe-audit",
-                "scoped-threads"
+                "scoped-threads",
+                "unreached-pub"
             ]
         );
     }

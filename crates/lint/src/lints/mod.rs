@@ -1,6 +1,7 @@
 //! The lint registry and shared token-stream helpers.
 //!
-//! Every lint is a pure function from a [`FileContext`] to findings; the
+//! Every lint but one is a pure function from a [`FileContext`] to
+//! findings; `unreached-pub` reads the whole workspace at once. The
 //! registry is the single source of truth for lint names, descriptions, and
 //! dispatch — `rm-lint --list`, the JSON `counts` object, and DESIGN.md all
 //! enumerate the same set.
@@ -10,8 +11,11 @@ pub mod nondet_iter;
 pub mod panic_path;
 pub mod rng_discipline;
 pub mod scoped_threads;
+pub mod unreached_pub;
 pub mod unsafe_audit;
 pub mod wallclock;
+
+use std::path::Path;
 
 use crate::context::FileContext;
 use crate::lexer::{Tok, TokKind};
@@ -24,7 +28,15 @@ pub struct LintDef {
     /// One-line description for `--list` and docs.
     pub description: &'static str,
     /// The check itself.
-    pub check: fn(&FileContext, &mut Vec<Finding>),
+    pub check: Check,
+}
+
+/// How a lint runs.
+pub enum Check {
+    /// Once per file, on that file alone.
+    File(fn(&FileContext, &mut Vec<Finding>)),
+    /// Once per workspace, over its whole tree.
+    Workspace(fn(&Path, &mut Vec<Finding>) -> std::io::Result<()>),
 }
 
 /// All lints, in reporting order.
@@ -34,46 +46,53 @@ pub const REGISTRY: &[LintDef] = &[
         description: "HashMap/HashSet in non-test result-affecting code: iteration order is \
                       nondeterministic; use BTreeMap/BTreeSet or a sorted Vec, or waive with an \
                       order-independence argument",
-        check: nondet_iter::check,
+        check: Check::File(nondet_iter::check),
     },
     LintDef {
         name: "rng-discipline",
         description: "raw seed arithmetic (seed ^ i, seed + i, …) or RNG construction from \
                       ad-hoc mixed seeds; derive streams via rm_graph::seed::stream_seed chained \
                       mixing instead",
-        check: rng_discipline::check,
+        check: Check::File(rng_discipline::check),
     },
     LintDef {
         name: "panic-path",
         description: "unwrap/expect/panic-family/assert or computed indexing on the hot-path \
                       allowlist; each surviving use needs an // INVARIANT: comment (file-scope \
                       // INVARIANT(indexing): for indexing)",
-        check: panic_path::check,
+        check: Check::File(panic_path::check),
     },
     LintDef {
         name: "wallclock-in-results",
         description: "Instant/SystemTime reachable from artifact-producing code outside the \
                       rm-bench timing modules; results must be functions of the seed only",
-        check: wallclock::check,
+        check: Check::File(wallclock::check),
     },
     LintDef {
         name: "float-reduce",
         description: "f32/f64 accumulation inside a thread::scope body without a documented \
                       fixed merge order (// MERGE ORDER: …); reductions must not depend on \
                       thread scheduling",
-        check: float_reduce::check,
+        check: Check::File(float_reduce::check),
     },
     LintDef {
         name: "unsafe-audit",
         description: "the workspace is structurally unsafe-free: any `unsafe` token, or a crate \
                       root missing #![forbid(unsafe_code)] (not waivable)",
-        check: unsafe_audit::check,
+        check: Check::File(unsafe_audit::check),
     },
     LintDef {
         name: "scoped-threads",
         description: "thread::scope/spawn/Builder in non-test code outside rm_graph::par; every \
                       fan-out runs through its one block scheduler",
-        check: scoped_threads::check,
+        check: Check::File(scoped_threads::check),
+    },
+    LintDef {
+        name: "unreached-pub",
+        description: "a bare `pub` item in library code whose name occurs nowhere outside its \
+                      declaration, its own impl blocks, re-exports, comments and its file's \
+                      tests; code nothing reaches gets deleted",
+        check: Check::Workspace(unreached_pub::check_workspace),
     },
 ];
 

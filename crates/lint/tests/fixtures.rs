@@ -153,3 +153,23 @@ fn json_schema_is_stable() {
         assert!(json.contains(field), "finding field {field} missing");
     }
 }
+
+#[test]
+fn unreached_pub_fixture_tree() {
+    // A small workspace, read whole: the rule indexes every file at once.
+    let root =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/unreached-pub");
+    let report = rm_lint::analyze_workspace(&root).expect("fixture scan");
+    let hits: Vec<(String, usize)> = report
+        .findings
+        .iter()
+        .filter(|f| f.lint == "unreached-pub")
+        .map(|f| (f.path.clone(), f.line))
+        .collect();
+    // Flagged: `only_own_tests` (line 2) and `OnlyImpl` (line 7). Not
+    // flagged: the uses from `tests/`, from `other.rs`'s unit tests, from a
+    // DESIGN.md code span and as a return type; the `collide` namesake; the
+    // `pub(crate)` fn.
+    let items = "crates/demo/src/items.rs".to_string();
+    assert_eq!(hits, vec![(items.clone(), 2), (items, 7)]);
+}

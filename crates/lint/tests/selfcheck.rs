@@ -1,6 +1,7 @@
 //! The analyzer's own acceptance gate: the live workspace is clean, and
-//! reintroducing either of the two historical bug classes — hash-order
-//! iteration and raw-arithmetic seed derivation — fires immediately.
+//! reintroducing a historical bug class — hash-order iteration,
+//! raw-arithmetic seed derivation, a crate root without
+//! `forbid(unsafe_code)`, a public item nothing calls — fires immediately.
 
 use std::path::Path;
 
@@ -73,5 +74,61 @@ fn stripping_a_forbid_attr_fires() {
             .iter()
             .any(|f| f.lint == "unsafe-audit" && f.path == "crates/demo/src/lib.rs"),
         "missing forbid(unsafe_code) must be flagged"
+    );
+}
+
+#[test]
+fn reintroduced_unreached_generator_fires() {
+    // The deleted Watts–Strogatz generator came back with only its own unit
+    // test as a caller; a call from an integration test reaches it again.
+    let dir = std::env::temp_dir().join(format!("rm-lint-unreached-{}", std::process::id()));
+    let src = dir.join("crates/graph/src");
+    std::fs::create_dir_all(&src).expect("mkdir");
+    std::fs::write(
+        src.join("lib.rs"),
+        "#![forbid(unsafe_code)]\npub mod ws;\npub use ws::watts_strogatz;\n",
+    )
+    .expect("write");
+    std::fs::write(
+        src.join("ws.rs"),
+        "pub fn watts_strogatz(n: usize) -> usize {\n\
+         \x20   n\n\
+         }\n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+         \x20   #[test]\n\
+         \x20   fn ring() {\n\
+         \x20       assert_eq!(super::watts_strogatz(4), 4);\n\
+         \x20   }\n\
+         }\n",
+    )
+    .expect("write");
+    let unreached = |dir: &Path| {
+        rm_lint::analyze_workspace(dir)
+            .expect("scan")
+            .findings
+            .into_iter()
+            .filter(|f| f.lint == "unreached-pub")
+            .map(|f| (f.path, f.line))
+            .collect::<Vec<_>>()
+    };
+    let before = unreached(&dir);
+    let tests = dir.join("crates/graph/tests");
+    std::fs::create_dir_all(&tests).expect("mkdir");
+    std::fs::write(
+        tests.join("generators.rs"),
+        "#[test]\nfn ws() {\n    rm_graph::watts_strogatz(8);\n}\n",
+    )
+    .expect("write");
+    let after = unreached(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        before,
+        vec![("crates/graph/src/ws.rs".to_string(), 1)],
+        "a pub fn only its own tests call must be flagged"
+    );
+    assert!(
+        after.is_empty(),
+        "a caller in tests/ must reach it: {after:?}"
     );
 }

@@ -113,15 +113,6 @@ impl BitSet {
         })
     }
 
-    /// True if `self ⊆ other`.
-    pub fn is_subset_of(&self, other: &BitSet) -> bool {
-        debug_assert_eq!(self.universe, other.universe);
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
-    }
-
     /// Returns `self` with `x` inserted (non-mutating helper for marginals).
     pub fn with(&self, x: usize) -> BitSet {
         let mut s = self.clone();
@@ -193,15 +184,6 @@ mod tests {
         let s = BitSet::from_iter(200, [5, 190, 63, 64, 0]);
         let v: Vec<usize> = s.iter().collect();
         assert_eq!(v, vec![0, 5, 63, 64, 190]);
-    }
-
-    #[test]
-    fn subset_relation() {
-        let a = BitSet::from_iter(10, [1, 3]);
-        let b = BitSet::from_iter(10, [1, 2, 3]);
-        assert!(a.is_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
-        assert!(BitSet::new(10).is_subset_of(&a));
     }
 
     #[test]

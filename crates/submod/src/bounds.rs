@@ -1,4 +1,4 @@
-//! Instance-dependent approximation bounds: Theorems 2, 3 and 4 — plus the
+//! Instance-dependent approximation bounds: Theorems 2 and 3 — plus the
 //! martingale concentration inequalities behind the online (OPIM-style)
 //! stopping rule of `rm_rrsets::opim`.
 
@@ -20,16 +20,6 @@ pub fn theorem2_bound(kappa: f64, r: usize, big_r: usize) -> f64 {
     (1.0 - ((rr - kappa) / rr).powi(r as i32)) / kappa
 }
 
-/// Theorem 2 specialisation discussed in the paper: for a matroid constraint
-/// (`r = R`) the bound tends to `(1/κ)(1 − e^{−κ})`, improving on `1 − 1/e`.
-pub fn matroid_curvature_bound(kappa: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&kappa));
-    if kappa < 1e-12 {
-        return 1.0;
-    }
-    (1.0 - (-kappa).exp()) / kappa
-}
-
 /// Theorem 3 (CS-GREEDY):
 /// `1 − R·ρ_max / (R·ρ_max + (1 − max_i κ_{ρ_i}) · ρ_min)`.
 ///
@@ -44,18 +34,6 @@ pub fn theorem3_bound(big_r: usize, kappa_rho_max: f64, rho_max: f64, rho_min: f
         return 0.0;
     }
     1.0 - (big_r as f64 * rho_max) / denom
-}
-
-/// Theorem 4: additive deterioration of the RR-based algorithms.
-/// Returns `Σ_i cpe(i) · ε · OPT_{s_i}` — the slack subtracted from
-/// `β · π(S*)` when TI-CARM / TI-CSRM replace the exact oracles.
-pub fn theorem4_deterioration(cpes: &[f64], epsilon: f64, opt_si: &[f64]) -> f64 {
-    assert_eq!(cpes.len(), opt_si.len());
-    assert!(epsilon > 0.0);
-    cpes.iter()
-        .zip(opt_si)
-        .map(|(&c, &o)| c * epsilon * o)
-        .sum()
 }
 
 /// Martingale **lower** bound on the mean of a sum of `[0, 1]` increments.
@@ -112,16 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn matroid_case_beats_1_minus_1_over_e() {
-        for kappa in [0.2, 0.5, 0.8, 1.0] {
-            let b = matroid_curvature_bound(kappa);
-            assert!(b >= 1.0 - (-1.0f64).exp() - 1e-12, "κ={kappa}: {b}");
-        }
-        // κ = 1 recovers exactly 1 − 1/e.
-        assert!((matroid_curvature_bound(1.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
-    }
-
-    #[test]
     fn theorem2_zero_curvature_limit() {
         assert!((theorem2_bound(0.0, 3, 4) - 0.75).abs() < 1e-12);
         // Continuity: tiny κ ≈ limit.
@@ -135,12 +103,6 @@ mod tests {
         assert!((b - 0.2).abs() < 1e-12);
         // Saturated payments degenerate to 0.
         assert_eq!(theorem3_bound(4, 1.0, 1.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn theorem4_sums_per_ad_slack() {
-        let slack = theorem4_deterioration(&[1.0, 2.0], 0.1, &[100.0, 50.0]);
-        assert!((slack - (0.1 * 100.0 + 2.0 * 0.1 * 50.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -134,73 +134,6 @@ fn is_maximal(p: &RmProblem, assign: &[usize]) -> bool {
     true
 }
 
-/// Korte–Hausmann/Jenkyns **rank quotient** of the feasibility system:
-/// `q = min_{A ⊆ E} r(A) / R(A)` over restrictions with `R(A) > 0`, where
-/// `r(A)`/`R(A)` are the smallest/largest maximal feasible subsets of `A`.
-///
-/// For *modular* objectives greedy is exactly `q`-approximate; the paper's
-/// Theorem 2 expresses its guarantee through the whole-system ranks `(r, R)`
-/// together with curvature, but the rank quotient is the sharp instance
-/// quantity and is what the property suite validates against. Doubly
-/// exponential — gadget instances only.
-pub fn rank_quotient(p: &RmProblem) -> f64 {
-    let n = p.num_nodes();
-    let h = p.num_ads();
-    let e = n * h; // pair (u, i) encoded u*h + i
-    assert!(
-        e <= 16,
-        "rank quotient enumeration limited to tiny instances"
-    );
-    let feasible = |mask: u32| -> bool {
-        let mut alloc = Allocation::empty(h);
-        for x in 0..e {
-            if mask >> x & 1 == 1 {
-                alloc.seed_sets[x % h].push(x / h);
-            }
-        }
-        p.is_feasible(&alloc)
-    };
-    // Precompute feasibility of every subset of pairs.
-    let total = 1u32 << e;
-    let feas: Vec<bool> = (0..total).map(feasible).collect();
-    let mut q = 1.0f64;
-    for a in 1..total {
-        // Maximal feasible subsets of A.
-        let mut r_a = usize::MAX;
-        let mut big_r_a = 0usize;
-        let mut x = a;
-        loop {
-            // Iterate all subsets x of a.
-            if feas[x as usize] {
-                // Maximal within A?
-                let mut maximal = true;
-                let mut rest = a & !x;
-                while rest != 0 {
-                    let bit = rest & rest.wrapping_neg();
-                    if feas[(x | bit) as usize] {
-                        maximal = false;
-                        break;
-                    }
-                    rest &= rest - 1;
-                }
-                if maximal {
-                    let size = x.count_ones() as usize;
-                    r_a = r_a.min(size);
-                    big_r_a = big_r_a.max(size);
-                }
-            }
-            if x == 0 {
-                break;
-            }
-            x = (x - 1) & a;
-        }
-        if big_r_a > 0 && r_a != usize::MAX {
-            q = q.min(r_a as f64 / big_r_a as f64);
-        }
-    }
-    q
-}
-
 fn pow_checked(base: usize, exp: usize) -> Option<usize> {
     let mut acc: usize = 1;
     for _ in 0..exp {
@@ -220,6 +153,73 @@ mod tests {
     use crate::greedy::{ca_greedy, cs_greedy};
     use crate::problem::RevenueFn;
     use proptest::prelude::*;
+
+    /// Korte–Hausmann/Jenkyns **rank quotient** of the feasibility system:
+    /// `q = min_{A ⊆ E} r(A) / R(A)` over restrictions with `R(A) > 0`, where
+    /// `r(A)`/`R(A)` are the smallest/largest maximal feasible subsets of `A`.
+    ///
+    /// For *modular* objectives greedy is exactly `q`-approximate; the paper's
+    /// Theorem 2 expresses its guarantee through the whole-system ranks `(r, R)`
+    /// together with curvature, but the rank quotient is the sharp instance
+    /// quantity and is what the property suite validates against. Doubly
+    /// exponential — gadget instances only.
+    fn rank_quotient(p: &RmProblem) -> f64 {
+        let n = p.num_nodes();
+        let h = p.num_ads();
+        let e = n * h; // pair (u, i) encoded u*h + i
+        assert!(
+            e <= 16,
+            "rank quotient enumeration limited to tiny instances"
+        );
+        let feasible = |mask: u32| -> bool {
+            let mut alloc = Allocation::empty(h);
+            for x in 0..e {
+                if mask >> x & 1 == 1 {
+                    alloc.seed_sets[x % h].push(x / h);
+                }
+            }
+            p.is_feasible(&alloc)
+        };
+        // Precompute feasibility of every subset of pairs.
+        let total = 1u32 << e;
+        let feas: Vec<bool> = (0..total).map(feasible).collect();
+        let mut q = 1.0f64;
+        for a in 1..total {
+            // Maximal feasible subsets of A.
+            let mut r_a = usize::MAX;
+            let mut big_r_a = 0usize;
+            let mut x = a;
+            loop {
+                // Iterate all subsets x of a.
+                if feas[x as usize] {
+                    // Maximal within A?
+                    let mut maximal = true;
+                    let mut rest = a & !x;
+                    while rest != 0 {
+                        let bit = rest & rest.wrapping_neg();
+                        if feas[(x | bit) as usize] {
+                            maximal = false;
+                            break;
+                        }
+                        rest &= rest - 1;
+                    }
+                    if maximal {
+                        let size = x.count_ones() as usize;
+                        r_a = r_a.min(size);
+                        big_r_a = big_r_a.max(size);
+                    }
+                }
+                if x == 0 {
+                    break;
+                }
+                x = (x - 1) & a;
+            }
+            if big_r_a > 0 && r_a != usize::MAX {
+                q = q.min(r_a as f64 / big_r_a as f64);
+            }
+        }
+        q
+    }
 
     fn modular_problem(
         weights: Vec<Vec<f64>>,

@@ -165,37 +165,6 @@ impl<F: SetFunction> SetFunction for ScaledFunction<F> {
     }
 }
 
-/// Sum of set functions over the same ground set — e.g. the payment
-/// `ρ_i = π_i + c_i` (submodular + modular).
-pub struct SumFunction {
-    parts: Vec<Box<dyn SetFunction + Send + Sync>>,
-}
-
-impl SumFunction {
-    /// Sums the given parts.
-    ///
-    /// # Panics
-    /// Panics if parts disagree on ground size or the list is empty.
-    pub fn new(parts: Vec<Box<dyn SetFunction + Send + Sync>>) -> Self {
-        assert!(!parts.is_empty());
-        let g0 = parts[0].ground_size();
-        assert!(parts.iter().all(|p| p.ground_size() == g0));
-        SumFunction { parts }
-    }
-}
-
-impl SetFunction for SumFunction {
-    fn ground_size(&self) -> usize {
-        self.parts[0].ground_size()
-    }
-    fn eval(&self, s: &BitSet) -> f64 {
-        self.parts.iter().map(|p| p.eval(s)).sum()
-    }
-    fn marginal(&self, x: usize, s: &BitSet) -> f64 {
-        self.parts.iter().map(|p| p.marginal(x, s)).sum()
-    }
-}
-
 /// Set function given by an explicit table over all `2^n` subsets
 /// (index = bitmask). Test oracle for arbitrary functions and the bridge for
 /// exact spreads computed by world enumeration.
@@ -272,9 +241,9 @@ mod tests {
     fn sum_and_scale_compose() {
         let pi = ScaledFunction::new(CoverageFunction::unit(vec![vec![0], vec![0, 1]], 2), 2.0);
         let c = ModularFunction::new(vec![0.5, 1.5]);
-        let rho = SumFunction::new(vec![Box::new(pi), Box::new(c)]);
-        // ρ({1}) = 2*2 + 1.5 = 5.5
-        assert_eq!(rho.eval(&BitSet::from_iter(2, [1])), 5.5);
+        // ρ({1}) = π({1}) + c({1}) = 2*2 + 1.5 = 5.5
+        let s = BitSet::from_iter(2, [1]);
+        assert_eq!(pi.eval(&s) + c.eval(&s), 5.5);
     }
 
     #[test]

@@ -6,26 +6,23 @@
 //! advertiser budget).
 //!
 //! This crate is deliberately independent of graphs and diffusion: it works
-//! over abstract [`SetFunction`]s so the theory (curvature, independence
-//! systems, approximation bounds, brute-force optima) can be unit-tested
-//! exhaustively on small ground sets and reused by `rm-core` for the exact
-//! CA-GREEDY / CS-GREEDY reference algorithms.
+//! over abstract [`SetFunction`]s. [`RmProblem`] makes the two constraint
+//! checks, measures its own curvatures and independence-system ranks, and
+//! feeds the Theorem 2/3 bounds; [`ca_greedy`] / [`cs_greedy`] are the exact
+//! Algorithm 1 that `rm-core` runs as its reference, and the brute-force
+//! optima in [`exact`] verify all of it on small ground sets.
 
 #![forbid(unsafe_code)]
 
 pub mod bitset;
 pub mod bounds;
-pub mod curvature;
 pub mod exact;
 pub mod function;
 pub mod greedy;
-pub mod matroid;
 pub mod problem;
 
 pub use bitset::BitSet;
-pub use bounds::{theorem2_bound, theorem3_bound, theorem4_deterioration};
-pub use curvature::{average_curvature, curvature_wrt, total_curvature};
-pub use function::{CoverageFunction, ModularFunction, ScaledFunction, SetFunction, SumFunction};
+pub use bounds::{theorem2_bound, theorem3_bound};
+pub use function::{CoverageFunction, ModularFunction, ScaledFunction, SetFunction};
 pub use greedy::{ca_greedy, cs_greedy, GreedyTrace};
-pub use matroid::{Matroid, PartitionMatroid, UniformMatroid};
 pub use problem::{Allocation, RmProblem};

@@ -19,7 +19,7 @@
 //! | [`graph`] | CSR social graph, generators, PageRank, dataset registry |
 //! | [`diffusion`] | topic model, TIC/IC/WC propagation, Monte-Carlo spread |
 //! | [`rrsets`] | RR-set sampling, coverage indexes, TIM sample sizes |
-//! | [`submod`] | submodular framework: matroids, curvature, bounds, exact optima |
+//! | [`submod`] | submodular framework: constraint checks, exact greedy, Theorem 2/3 bounds, exact optima |
 //! | [`core`] | the RM problem, CA/CS-GREEDY, TI-CARM/TI-CSRM, baselines |
 //!
 //! ## Quickstart
