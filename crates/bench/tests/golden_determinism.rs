@@ -6,6 +6,7 @@
 //! the `fig5 table3 --quick` scalability sweep must match its pinned
 //! goldens after the volatile columns (wall time, capacity-based memory)
 //! are stripped — seeds, θ and revenue are deterministic engine outputs.
+//! `pool-ablation --quick` pins the shared-pool path the same way.
 //! The current output is pinned under `tests/golden/`; a diff here means a
 //! determinism regression or an intentional artifact change that must
 //! re-pin the goldens.
@@ -201,6 +202,30 @@ fn fig5_table3_parallel_selection_matches_sequential_goldens() {
             strip_columns(&read_artifact("table3_memory_vs_h"), &["memory_gib"]),
             include_str!("golden/table3_memory_vs_h.stripped.csv"),
             "table3 memory-vs-h diverges from the sequential golden at selection_threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn pool_ablation_quick_matches_pinned_golden_at_every_sampler_thread_count() {
+    // The only golden that reaches `rr_sharing`: `pool-ablation --quick
+    // --scale 0.005` runs the identical-tenant h-sweep and the reweighted
+    // TIC arm (traced growth, importance weights, weighted coverage). Its
+    // stripped CSV must match the pinned golden at the hardware default
+    // and at one and two sampler threads; `mem_mib` reads the same at
+    // every count, so only wall time is stripped.
+    for threads in [usize::MAX, 1, 2] {
+        let opts = Opts {
+            quick: true,
+            scale: 0.005,
+            sampler_threads: threads,
+            ..Default::default()
+        };
+        experiments::pool_ablation(opts);
+        assert_eq!(
+            strip_columns(&read_artifact("pool_ablation"), &["time_s"]),
+            include_str!("golden/pool_ablation.stripped.csv"),
+            "pool-ablation deviates from the pinned golden at sampler_threads={threads}"
         );
     }
 }

@@ -344,6 +344,10 @@ impl<'a> EngineCtx<'a> {
     /// top-`k`, and the greedy `(1 − 1/e)` bound). A provably negligible
     /// residual — at most ε times the validated achieved coverage —
     /// certifies too (further precision is inside Eq. 8's additive slack).
+    ///
+    /// When the doubling budget runs out, Eq. 8's θ for the latent size
+    /// decides whether the ad was stopped short of it (`capped`). An ad
+    /// already `capped` stays so, and the check is skipped.
     pub(crate) fn certify_or_double(
         &self,
         st: &mut AdState,
@@ -390,8 +394,10 @@ impl<'a> EngineCtx<'a> {
                 // Doubling budget exhausted without certifying. Reaching
                 // Eq. 8's θ keeps the worst-case guarantee; being stopped
                 // short of it by the per-ad resource valve degrades the
-                // estimates and is reported like the fixed-θ cap.
-                if op.theta_cap < st.kpt.theta_for(self.inst().num_nodes(), s, tim) {
+                // estimates and is reported like the fixed-θ cap. Once
+                // `capped` is set nothing can clear it, so Eq. 8 is not
+                // evaluated again.
+                if !st.capped && op.theta_cap < st.kpt.theta_for(self.inst().num_nodes(), s, tim) {
                     st.capped = true;
                 }
                 return grew;
@@ -462,6 +468,17 @@ impl<'a> EngineCtx<'a> {
 
     /// Lines 17–22: Eq. 10 latent-size update, sample growth, Algorithm 3
     /// estimate refresh, heap rebuild.
+    ///
+    /// Eq. 8 is evaluated only below the valve. [`sample_size`] clamps θ
+    /// to `max_sets_per_ad`, so once a fixed-θ ad holds that many sets no
+    /// latent size can raise θ, and `capped` is already set; once an
+    /// online ad's doubling cap has reached [`Self::online_stream_valve`]
+    /// it cannot rise either. Each `theta_for` call sums κ over every
+    /// pilot width, so the skip matters for capped ads, which update their
+    /// latent size every few rounds. Debug builds still evaluate Eq. 8 and
+    /// assert that it would have kept θ and the cap.
+    ///
+    /// [`sample_size`]: rm_rrsets::sample_size
     pub(crate) fn update_latent(
         &self,
         st: &mut AdState,
@@ -524,7 +541,13 @@ impl<'a> EngineCtx<'a> {
         match self.cfg.sampling {
             SamplingStrategy::FixedTheta => {
                 // Worst-case schedule: jump straight to Eq. 8's θ for the
-                // new latent size.
+                // new latent size. At the valve Eq. 8 is clamped to it and
+                // cannot move θ, and `capped` is already set.
+                if st.theta >= tim.max_sets_per_ad {
+                    debug_assert!(st.kpt.theta_for(n, st.s_latent, tim) <= st.theta);
+                    debug_assert!(st.capped);
+                    return;
+                }
                 let theta_new = st.kpt.theta_for(n, st.s_latent, tim).max(st.theta);
                 if theta_new >= tim.max_sets_per_ad {
                     st.capped = true;
@@ -542,15 +565,18 @@ impl<'a> EngineCtx<'a> {
                 // Online schedule: raise the doubling cap to the new latent
                 // size's worst case (within the per-stream valve), then
                 // grow only until the stopping rule certifies — the bound
-                // check, not Eq. 8, decides θ.
-                let cap = st
-                    .kpt
-                    .theta_for(n, st.s_latent, tim)
-                    .min(self.online_stream_valve(tim));
+                // check, not Eq. 8, decides θ. A cap already at the valve
+                // cannot rise, so Eq. 8 is not evaluated.
+                let valve = self.online_stream_valve(tim);
                 // INVARIANT: init_ads builds opim state whenever the
                 // strategy is OnlineBounds, the only path reaching here.
                 let op = st.opim.as_mut().expect("OnlineBounds ads carry opim state");
-                op.theta_cap = op.theta_cap.max(cap);
+                if op.theta_cap >= valve {
+                    debug_assert!(st.kpt.theta_for(n, st.s_latent, tim).min(valve) <= op.theta_cap);
+                } else {
+                    let cap = st.kpt.theta_for(n, st.s_latent, tim).min(valve);
+                    op.theta_cap = op.theta_cap.max(cap);
+                }
                 if self.certify_or_double(st, assigned, rr_pool) {
                     st.set_heap(self.build_heap(&st.cov, st.idx, assigned));
                     stats.candidate_evaluations += n as u64;

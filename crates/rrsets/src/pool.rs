@@ -46,9 +46,16 @@
 //! slots — unreached nodes, `thr_q = 0` short-circuits — contribute factor
 //! 1 by the support condition below). `E_q[w(R)·1{v ∈ R}] = Pr_γ[v ∈ R]`,
 //! so weighted coverage counts are unbiased for the tenant. Identical
-//! mixtures give every factor exactly 1 — the ratio is skipped whenever
+//! mixtures give every factor exactly 1 — the ratio adds nothing whenever
 //! `thr_γ = thr_q`, so the weight is the f64 constant `1.0`, not a rounded
 //! product.
+//!
+//! Each factor depends only on the slot and the outcome, so growth and
+//! repair table both log ratios per in-slot and distinct mixture once per
+//! call (`LogRatios`, 16 B per slot and mixture, dropped when the call
+//! returns); the walk adds one table entry per decided slot and mixture to
+//! the set's f64 log-sum, and the weight is its `exp`, rounded once to
+//! `f32`.
 //!
 //! Validity needs the proposal to cover the target's support in both
 //! directions: `thr_q = 0 ⇒ thr_γ = 0` (a slot the reference never decides
@@ -571,11 +578,9 @@ impl PoolGroup {
     /// Samples the sets `ids` of the group stream through the reference
     /// sampler's traced batch: appends them to `arena` in order and writes
     /// set `id`'s importance weight under mixture `c` to `weights[c][id]`.
-    /// Each block is dropped as soon as it is spliced. Per decided slot,
-    /// each mixture whose threshold `t` differs from the reference
-    /// threshold `q` adds its log likelihood ratio to its accumulator;
-    /// equal thresholds contribute factor 1 exactly and are skipped, which
-    /// keeps an identical slot at zero rounding.
+    /// Each block is dropped as soon as it is spliced. Every decided slot
+    /// adds its [`LogRatios`] entry to each mixture's accumulator; the table
+    /// is built here, on the calling thread, and dropped on return.
     fn sample_weighted(
         &self,
         g: &CsrGraph,
@@ -585,29 +590,14 @@ impl PoolGroup {
     ) {
         // INVARIANT: only TIC tenants ever get a mixture (`build`, pass 1),
         // so a group with mixtures has a TIC reference sampler.
-        let shared = self
+        let (shared, reference) = self
             .sampler
             .tic_table()
             .expect("reweighted group must be TIC");
-        let mixtures = &self.mixtures;
-        let on_decide = |slot: usize, q: u32, accepted: bool, acc: &mut [f64]| {
-            for (a, gamma) in acc.iter_mut().zip(mixtures) {
-                let t = threshold(shared.mixed_prob(slot, gamma));
-                if t == q {
-                    continue;
-                }
-                // `accepted` implies `q > 0` (zero thresholds never consume
-                // a draw); `!accepted` implies `q < 2²⁴`. `t == 0` on an
-                // accepted slot gives ln 0 = −∞ and a clean weight of 0 for
-                // this set.
-                *a += if accepted {
-                    (f64::from(t) / f64::from(q)).ln()
-                } else {
-                    (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln()
-                };
-            }
-        };
-        let columns = mixtures.len();
+        let ratios = LogRatios::build(shared, reference, &self.mixtures);
+        let on_decide =
+            |slot: usize, _q: u32, accepted: bool, acc: &mut [f64]| ratios.add(slot, accepted, acc);
+        let columns = self.mixtures.len();
         let mut at = ids.iter();
         let splice = |block: TracedBlock| {
             arena.append(&block.arena);
@@ -622,6 +612,67 @@ impl PoolGroup {
         self.sampler
             .sample_traced(g, seed, ids, columns, on_decide, splice);
     }
+}
+
+/// The per-slot log likelihood ratios of a group's reweighted mixtures
+/// against its reference mixture (module docs, § "The weight"): for every
+/// in-slot and mixture, the term an accepted and a failed decision add to
+/// the set's log weight. A pure function of the shared table and the
+/// mixtures, built once per [`PoolGroup::sample_weighted`] call, so a
+/// decided slot costs the traced walk one lookup and one add per mixture.
+struct LogRatios {
+    columns: usize,
+    /// Slot-major `[accept, reject]` pairs: mixture `c` at in-slot `s` is
+    /// entry `s · columns + c`.
+    pairs: Vec<[f64; 2]>,
+}
+
+impl LogRatios {
+    fn build(shared: &TicInSlots, reference: &[f32], mixtures: &[Vec<f32>]) -> Self {
+        let slots = shared.sources().len();
+        let mut pairs = Vec::with_capacity(slots * mixtures.len());
+        for slot in 0..slots {
+            let q = threshold(shared.mixed_prob(slot, reference));
+            pairs.extend(
+                mixtures
+                    .iter()
+                    .map(|gamma| log_ratio_pair(q, threshold(shared.mixed_prob(slot, gamma)))),
+            );
+        }
+        LogRatios {
+            columns: mixtures.len(),
+            pairs,
+        }
+    }
+
+    /// Adds each mixture's term for a decided `slot` to its accumulator.
+    #[inline]
+    fn add(&self, slot: usize, accepted: bool, acc: &mut [f64]) {
+        let side = usize::from(!accepted);
+        let row = &self.pairs[slot * self.columns..(slot + 1) * self.columns];
+        for (a, pair) in acc.iter_mut().zip(row) {
+            *a += pair[side];
+        }
+    }
+}
+
+/// `[accept, reject]` log likelihood ratios of one slot with tenant
+/// threshold `t` and reference threshold `q`. `t == q` is the "add
+/// nothing" mark `[+0.0, +0.0]`: an accumulator starts at `+0.0` and no
+/// term is ever `−0.0`, so it is never `−0.0` and adding `+0.0` leaves it
+/// bit-unchanged, exactly as skipping the slot would. An identical slot
+/// therefore stays at zero rounding. The support conditions (module docs)
+/// keep every other pair finite or `−∞`: an accepted decision implies
+/// `q > 0` and a failed one `q < 2²⁴`, and `t = 0` on an accepted slot
+/// gives `ln 0 = −∞`, a clean weight of 0 for the set.
+fn log_ratio_pair(q: u32, t: u32) -> [f64; 2] {
+    if t == q {
+        return [0.0, 0.0];
+    }
+    [
+        (f64::from(t) / f64::from(q)).ln(),
+        (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln(),
+    ]
 }
 
 #[cfg(test)]
@@ -1102,6 +1153,167 @@ mod tests {
                 cold,
                 "repair at {t} workers must match a cold regrow"
             );
+        }
+    }
+
+    /// The weights straight from the formula in the module docs, the
+    /// oracle [`LogRatios`] is checked against: per decided slot, mixes the
+    /// slot under every mixture and takes the `ln` of its ratio against the
+    /// walk's own reference threshold `q`. Returns the group's sets `ids`
+    /// and, per mixture, their weights.
+    fn oracle_weights(
+        group: &PoolGroup,
+        g: &CsrGraph,
+        ids: SetIds<'_>,
+    ) -> (RrArena, Vec<Vec<f32>>) {
+        let (shared, _) = group.sampler.tic_table().unwrap();
+        let mixtures = &group.mixtures;
+        let on_decide = |slot: usize, q: u32, accepted: bool, acc: &mut [f64]| {
+            for (a, gamma) in acc.iter_mut().zip(mixtures) {
+                let t = threshold(shared.mixed_prob(slot, gamma));
+                if t == q {
+                    continue;
+                }
+                *a += if accepted {
+                    (f64::from(t) / f64::from(q)).ln()
+                } else {
+                    (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln()
+                };
+            }
+        };
+        let columns = mixtures.len();
+        let mut arena = RrArena::new();
+        let mut weights = vec![Vec::new(); columns];
+        group
+            .sampler
+            .sample_traced(g, group.sample_seed, ids, columns, on_decide, |block| {
+                arena.append(&block.arena);
+                for set_w in block.weights.chunks_exact(columns) {
+                    for (col, &w) in weights.iter_mut().zip(set_w) {
+                        col.push(w);
+                    }
+                }
+            });
+        (arena, weights)
+    }
+
+    /// The in-star of [`star_chain`] (degree 20, one mixed threshold per
+    /// mixture, so the reference walk takes the geometric-skip path) with
+    /// `leaves` leaves, and per-edge chain slots that cover every case of
+    /// the weight: `20 → 21` fires only under topic 1, so the delta(0)
+    /// tenant's threshold is 0 where the reference accepts; `21 → 22`
+    /// fires surely under every mixture (reference probability 1); `22 → 0`
+    /// has equal topic probabilities, so every mixture's threshold equals
+    /// the reference's.
+    fn case_fixture(leaves: u32) -> (CsrGraph, Arc<TicModel>) {
+        let mut edges: Vec<(u32, u32)> = (0..leaves).map(|leaf| (leaf, 20)).collect();
+        edges.extend([(20, 21), (21, 22), (22, 0)]);
+        let g = graph_from_edges(23, &edges);
+        let mut probs = vec![0.0f32; 2 * g.num_edges()];
+        for (eid, src, dst) in g.edges() {
+            let row: [f32; 2] = match (src, dst) {
+                (20, 21) => [0.0, 0.6],
+                (21, 22) => [1.0, 1.0],
+                (22, 0) => [0.4, 0.4],
+                _ => [0.8, 0.2],
+            };
+            probs[2 * eid as usize..][..2].copy_from_slice(&row);
+        }
+        let tic = Arc::new(TicModel::from_matrix(&g, 2, probs));
+        (g, tic)
+    }
+
+    /// Reference uniform; reweighted delta(0), delta(1) and [.7, .3].
+    fn case_models(tic: &Arc<TicModel>) -> Vec<DiffusionModel> {
+        [
+            TopicDistribution::uniform(2),
+            TopicDistribution::delta(2, 0),
+            TopicDistribution::delta(2, 1),
+            TopicDistribution::new(&[0.7, 0.3]),
+        ]
+        .into_iter()
+        .map(|gamma| DiffusionModel::tic(Arc::clone(tic), gamma))
+        .collect()
+    }
+
+    fn column_bits(columns: &[Vec<f32>]) -> Vec<Vec<u32>> {
+        columns
+            .iter()
+            .map(|c| c.iter().map(|w| w.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn weights_match_the_per_decision_formula_bit_for_bit() {
+        let (g, tic) = case_fixture(20);
+        let models = case_models(&tic);
+        // The fixture's cases, under the reference's and the tenants'
+        // thresholds.
+        let shared = tic.in_slot_view(&g);
+        let thr = |slot: usize, m: &DiffusionModel| {
+            threshold(shared.mixed_prob(slot, m.tic_parts().unwrap().1.weights()))
+        };
+        let slot_of = |src: u32, dst: u32| {
+            let (lo, hi) = g.in_slot_range(dst);
+            (lo..hi).find(|&s| shared.sources()[s] == src).unwrap()
+        };
+        let (zero, sure, equal) = (slot_of(20, 21), slot_of(21, 22), slot_of(22, 0));
+        assert!(thr(zero, &models[0]) > 0 && thr(zero, &models[1]) == 0);
+        assert_eq!(thr(sure, &models[0]), COIN_FULL);
+        for m in &models[1..] {
+            assert_eq!(thr(equal, m), thr(equal, &models[0]), "t == q");
+        }
+        assert!(g.in_degree(20) >= 16, "the hub takes the skip path");
+
+        let theta = 5_000;
+        // Growth (`SetIds::Range`), over several steal blocks.
+        for t in [1, 2, 8] {
+            let mut pool = SharedRrPool::build(&g, &models, 43, usize::MAX);
+            assert_eq!(pool.reweighted_ads(), 3);
+            force_workers(&mut pool, t);
+            let (arena, weights) = snapshot(&pool, &g, theta);
+            let (want_arena, want) =
+                oracle_weights(&pool.groups[0], &g, SetIds::Range(0, theta as u64));
+            assert_eq!(arena, want_arena);
+            assert_eq!(
+                column_bits(&weights),
+                column_bits(&want),
+                "growth at {t} workers"
+            );
+            // Sets whose walk accepted `20 → 21` (20's only out-edge) weigh
+            // exactly 0 for the delta(0) tenant.
+            let zeroed: Vec<f32> = arena
+                .iter()
+                .zip(&weights[0])
+                .filter(|(set, _)| set.contains(&20) && set[0] != 20)
+                .map(|(_, &w)| w)
+                .collect();
+            assert!(!zeroed.is_empty());
+            assert!(zeroed.iter().all(|w| w.to_bits() == 0));
+        }
+
+        // Delta repair (`SetIds::List`): dropping leaf 19 touches the hub,
+        // which keeps 19 in-edges and the skip path.
+        let (g2, tic2) = case_fixture(19);
+        let models2 = case_models(&tic2);
+        let mut changed = [false; 23];
+        changed[20] = true;
+        let theta = 4 * theta;
+        for t in [1, 2, 8] {
+            let mut pool = SharedRrPool::build(&g, &models, 43, usize::MAX);
+            force_workers(&mut pool, t);
+            let ids = snapshot(&pool, &g, theta).0.sets_touching(&changed);
+            assert!(ids.len() > 1024, "repair must span steal blocks");
+            pool.apply_delta(&g2, &models2, &changed);
+            let (_, repaired) = snapshot(&pool, &g2, theta);
+            let (_, want) = oracle_weights(&pool.groups[0], &g2, SetIds::List(&ids));
+            for (col, want_col) in repaired.iter().zip(&want) {
+                let got: Vec<u32> = ids.iter().map(|&id| col[id].to_bits()).collect();
+                let want_bits: Vec<u32> = want_col.iter().map(|w| w.to_bits()).collect();
+                assert_eq!(got, want_bits, "repair at {t} workers");
+            }
+            let (_, whole) = oracle_weights(&pool.groups[0], &g2, SetIds::Range(0, theta as u64));
+            assert_eq!(column_bits(&repaired), column_bits(&whole));
         }
     }
 

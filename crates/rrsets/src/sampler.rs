@@ -999,10 +999,11 @@ impl PreparedSampler {
         );
     }
 
-    /// The shared per-topic in-slot table of a TIC sampler.
-    pub(crate) fn tic_table(&self) -> Option<&TicInSlots> {
+    /// The shared per-topic in-slot table of a TIC sampler and the mixture
+    /// it samples under.
+    pub(crate) fn tic_table(&self) -> Option<(&TicInSlots, &[f32])> {
         match &self.tables {
-            Tables::Tic { shared, .. } => Some(shared),
+            Tables::Tic { shared, gamma, .. } => Some((shared, gamma)),
             _ => None,
         }
     }

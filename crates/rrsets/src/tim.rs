@@ -255,6 +255,30 @@ mod tests {
     }
 
     #[test]
+    fn theta_for_never_exceeds_the_cap_on_a_real_pilot() {
+        // The engine stops evaluating Eq. 8 once an ad holds
+        // `max_sets_per_ad` sets, which is exact only while `sample_size`
+        // clamps every latent size to the cap — including `s > n/2`, where
+        // `ln C(n, s)` falls again.
+        let mut rng = SmallRng::seed_from_u64(23);
+        let g = generators::erdos_renyi_m(300, 1500, true, &mut rng);
+        let probs = rm_diffusion::TicModel::weighted_cascade(&g)
+            .ad_probs(&rm_diffusion::TopicDistribution::uniform(1));
+        let cfg = TimConfig {
+            max_sets_per_ad: 10_000,
+            ..Default::default()
+        };
+        let est = estimate(&g, &probs, 1, &cfg, 5);
+        let n = g.num_nodes();
+        let thetas: Vec<usize> = (1..=n).map(|s| est.theta_for(n, s, &cfg)).collect();
+        assert!(thetas.iter().all(|&t| t <= cfg.max_sets_per_ad));
+        // The cap binds for some sizes and not for others, so the clamp is
+        // what holds the bound.
+        assert!(thetas.contains(&cfg.max_sets_per_ad));
+        assert!(thetas[n - 1] < cfg.max_sets_per_ad);
+    }
+
+    #[test]
     fn kpt_bounds_true_optimum_from_below() {
         // Random graph where we can sanity check OPT_1 >= KPT bound for k=1.
         let mut rng = SmallRng::seed_from_u64(17);
