@@ -23,7 +23,7 @@ use std::time::Instant;
 use rand::{rngs::SmallRng, SeedableRng};
 use rm_core::{AlgorithmKind, ScalableConfig, TiEngine};
 use rm_diffusion::{TicModel, TopicDistribution};
-use rm_graph::{degree, generators, io as graph_io, snapshot};
+use rm_graph::{degree, generators, io as graph_io, snapshot, NodeId};
 use rm_rrsets::PreparedSampler;
 
 use crate::experiments::Opts;
@@ -109,7 +109,8 @@ pub fn scale_tier(opts: Opts) {
     ]);
 
     // Stage 3: the one-and-only text parse, through the streaming compacted
-    // reader (count-header preallocation + reused line buffer).
+    // reader (count-header preallocation, byte scanner, rank-table remap,
+    // counting-sort build).
     let t0 = Instant::now();
     let file = std::fs::File::open(&text_path).expect("open edge list");
     let (compacted, istats) =
@@ -132,7 +133,26 @@ pub fn scale_tier(opts: Opts) {
     );
     // The text round trip drops isolated nodes (edge lists cannot express
     // them — that is one reason the snapshot tier exists), so the ingested
-    // graph is only used for the timing arm.
+    // graph is not compared array for array. It must still carry exactly
+    // the source's edges: as many, and each one, mapped back through
+    // `original_ids`, an edge of the source (a CSR row holds no duplicates,
+    // so together these make the two edge sets equal).
+    // INVARIANT: a reader that drops or invents edges must abort the run.
+    assert_eq!(
+        compacted.graph.num_edges(),
+        g.num_edges(),
+        "text ingest changed the edge count"
+    );
+    let original = |v: NodeId| {
+        NodeId::try_from(compacted.original_ids[v as usize]).expect("text ingest invented an id")
+    };
+    for (_, u, v) in compacted.graph.edges() {
+        let (u, v) = (original(u), original(v));
+        assert!(
+            g.out_neighbors(u).binary_search(&v).is_ok(),
+            "text ingest invented the edge {u} -> {v}"
+        );
+    }
     drop(compacted);
 
     // Stage 4: binary snapshot of the original graph.

@@ -26,8 +26,9 @@ pub type CsrParts<'a> = (
 
 /// Immutable directed graph in CSR form.
 ///
-/// Construct via [`crate::GraphBuilder`] or the generators; the constructor
-/// here ([`CsrGraph::from_sorted_edges`]) expects pre-cleaned input.
+/// Construct via [`crate::GraphBuilder`] (the generators and the text
+/// reader build through it too), or reload a snapshot through
+/// [`CsrGraph::from_parts`].
 ///
 /// Equality is **representational**: two graphs compare equal iff every CSR
 /// array matches element for element. That is exactly the bit-identity the
@@ -47,50 +48,49 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds a graph from edges that are already sorted by `(src, dst)`,
-    /// deduplicated, self-loop free, and with all endpoints `< n`.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the input violates those preconditions.
-    pub fn from_sorted_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let m = edges.len();
+    /// Completes an out-view into a graph by deriving the in-view. Row `u`
+    /// of `out_targets` is `out_offsets[u]..out_offsets[u + 1]`; each row
+    /// must be strictly increasing (sorted, no duplicates) and free of `u`
+    /// itself, with every target `< n`. [`crate::GraphBuilder`] produces
+    /// exactly that, and this is the only constructor it and the text
+    /// reader use.
+    pub(crate) fn from_out_csr(n: usize, out_offsets: Vec<u32>, out_targets: Vec<NodeId>) -> Self {
+        let m = out_targets.len();
         assert!(m < u32::MAX as usize, "edge count exceeds u32 range");
+        debug_assert_eq!(out_offsets.len(), n + 1);
+        debug_assert_eq!(out_offsets[n] as usize, m);
         debug_assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "edges must be sorted+deduped"
+            (0..n).all(|u| {
+                let row = &out_targets[out_offsets[u] as usize..out_offsets[u + 1] as usize];
+                row.windows(2).all(|w| w[0] < w[1]) && !row.contains(&(u as NodeId))
+            }),
+            "rows must be sorted, deduplicated and self-loop free"
         );
 
-        let mut out_offsets = vec![0u32; n + 1];
-        let mut in_deg = vec![0u32; n];
-        for &(s, t) in edges {
-            debug_assert!(
-                (s as usize) < n && (t as usize) < n,
-                "endpoint out of range"
-            );
-            debug_assert_ne!(s, t, "self loop");
-            out_offsets[s as usize + 1] += 1;
-            in_deg[t as usize] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-        let mut out_targets = Vec::with_capacity(m);
-        for &(_, t) in edges {
-            out_targets.push(t);
-        }
-
+        // Count in-degrees into `in_offsets[v]`, then turn them into
+        // inclusive prefix sums, so `in_offsets[v]` is the end of `v`'s row.
         let mut in_offsets = vec![0u32; n + 1];
-        for v in 0..n {
-            in_offsets[v + 1] = in_offsets[v] + in_deg[v];
+        for &t in &out_targets {
+            in_offsets[t as usize] += 1;
         }
-        let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
+        let mut end = 0u32;
+        for o in &mut in_offsets[..n] {
+            end += *o;
+            *o = end;
+        }
+        in_offsets[n] = end;
+        // Fill each in-row from its end while walking the edges in reverse
+        // canonical order: every in-row comes out ascending by edge id (and
+        // so by source), and each `in_offsets[v]` ends at the row's start.
         let mut in_sources = vec![0 as NodeId; m];
         let mut in_eids = vec![0 as EdgeId; m];
-        for (eid, &(s, t)) in edges.iter().enumerate() {
-            let slot = cursor[t as usize] as usize;
-            cursor[t as usize] += 1;
-            in_sources[slot] = s;
-            in_eids[slot] = eid as EdgeId;
+        for u in (0..n).rev() {
+            for eid in (out_offsets[u]..out_offsets[u + 1]).rev() {
+                let slot = &mut in_offsets[out_targets[eid as usize] as usize];
+                *slot -= 1;
+                in_sources[*slot as usize] = u as NodeId;
+                in_eids[*slot as usize] = eid;
+            }
         }
 
         CsrGraph {
@@ -291,10 +291,11 @@ impl CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::graph_from_edges;
 
     fn diamond() -> CsrGraph {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
-        CsrGraph::from_sorted_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)])
+        graph_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)])
     }
 
     #[test]
@@ -334,7 +335,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = CsrGraph::from_sorted_edges(3, &[]);
+        let g = graph_from_edges(3, &[]);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.out_degree(2), 0);
         assert_eq!(g.in_neighbors(0), &[] as &[NodeId]);
@@ -342,7 +343,7 @@ mod tests {
 
     #[test]
     fn isolated_nodes_between_connected_ones() {
-        let g = CsrGraph::from_sorted_edges(5, &[(0, 4)]);
+        let g = graph_from_edges(5, &[(0, 4)]);
         assert_eq!(g.out_degree(0), 1);
         for u in 1..4 {
             assert_eq!(g.out_degree(u), 0);

@@ -2,10 +2,11 @@
 //!
 //! The original `read_edge_list_compacted` buffered a flat copy of all `2m`
 //! endpoints (on top of the `(u64, u64)` tuple buffer) to derive the dense
-//! id remap — ~1.6 GB of avoidable transient at m = 10⁸. The rewritten
-//! reader derives the remap from two in-place sorts plus a merge of two
-//! ≤ n-sized tables, so peak ingest allocation must stay within a small
-//! multiple of the final CSR. The workspace forbids `unsafe` (no counting
+//! id remap — ~1.6 GB of avoidable transient at m = 10⁸. The reader now
+//! derives the remap from a `u32` rank table no larger than the tuple buffer
+//! (dense ids) or from two in-place sorts plus a merge of two ≤ n-sized
+//! tables (gap-heavy ids), so peak ingest allocation must stay within a
+//! small multiple of the final CSR on both paths. The workspace forbids `unsafe` (no counting
 //! allocator), so the bound is asserted on [`IngestStats::peak_bytes`] —
 //! capacity accounting of every buffer the reader owns, checkpointed at each
 //! working-set transition.
@@ -15,9 +16,14 @@ use std::io::Write;
 use rm_graph::io::read_edge_list_compacted_with_stats;
 
 /// A multi-MB synthetic list: n = 20 000 nodes, 200 000 generated lines
-/// (~2.5 MB of text) over a gap-heavy id space so the compaction path is
+/// (~2.5 MB of text) over a gap-heavy id space so the sorting remap is
 /// exercised, with a deterministic LCG supplying the endpoints.
 fn synthetic_edge_list() -> Vec<u8> {
+    edge_list(1_000, 7)
+}
+
+/// The same endpoints with ids `u * stride + offset`.
+fn edge_list(stride: u64, offset: u64) -> Vec<u8> {
     let n: u64 = 20_000;
     let lines: u64 = 200_000;
     let mut text = Vec::with_capacity(3 << 20);
@@ -32,18 +38,25 @@ fn synthetic_edge_list() -> Vec<u8> {
     for _ in 0..lines {
         let u = next() % n;
         let v = next() % n;
-        // Stretch the id space: original ids are sparse multiples.
-        writeln!(text, "{} {}", u * 1_000 + 7, v * 1_000 + 7).unwrap();
+        writeln!(text, "{} {}", u * stride + offset, v * stride + offset).unwrap();
     }
     text
 }
 
 #[test]
 fn ingest_peak_stays_within_small_multiple_of_csr() {
-    let text = synthetic_edge_list();
+    check_peak(&synthetic_edge_list());
+}
+
+#[test]
+fn dense_ingest_peak_stays_within_small_multiple_of_csr() {
+    // Ids 0..20 000 against 200 000 lines: the rank table path.
+    check_peak(&edge_list(1, 0));
+}
+
+fn check_peak(text: &[u8]) {
     assert!(text.len() > 2 << 20, "fixture must be multi-MB");
-    let (out, stats) =
-        read_edge_list_compacted_with_stats(std::io::BufReader::new(&text[..])).unwrap();
+    let (out, stats) = read_edge_list_compacted_with_stats(std::io::BufReader::new(text)).unwrap();
     let csr_bytes = out.graph.memory_bytes();
     assert!(
         out.graph.num_edges() > 150_000,
